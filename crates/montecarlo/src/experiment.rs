@@ -28,7 +28,9 @@ pub struct McConfig {
     pub slew_range: (f64, f64),
     /// Master seed; every sample derives its own deterministic stream.
     pub seed: u64,
-    /// Simulator options.
+    /// Simulator options. The default is the paper-pipeline setting
+    /// [`SimOptions::pipeline`] (sparse LU, adaptive stepping from a 2 ps
+    /// base step); journals written under other options are memo misses.
     pub sim: SimOptions,
     /// Worker threads (`0` = one per core).
     pub threads: usize,
@@ -48,10 +50,7 @@ impl Default for McConfig {
             spread: 0.15,
             slew_range: (0.1e-9, 0.4e-9),
             seed: 0x1997_0317,
-            sim: SimOptions {
-                tstep: 2e-12,
-                ..SimOptions::default()
-            },
+            sim: SimOptions::pipeline(),
             threads: 0,
             checkpoint: None,
         }

@@ -10,6 +10,11 @@ cargo build --release
 echo "==> cargo test -q"
 cargo test -q
 
+# The member crates' own unit, integration and doc tests; the root
+# package's suites ran above.
+echo "==> cargo test -q --workspace --exclude clocksense"
+cargo test -q --workspace --exclude clocksense
+
 # Numerics-sensitive suites again under release optimisations: the
 # solver-equivalence bounds (dense vs sparse to 1e-9, tree solver
 # cross-checks) must hold with fast-math-adjacent codegen too.
