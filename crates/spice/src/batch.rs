@@ -13,9 +13,10 @@
 //!   [`LANE_WIDTH`]-wide blocks: slot `s` of lane `l` lives at
 //!   `vals[s * LANE_WIDTH + l]`, so every per-slot operation of the LU
 //!   sweep is one contiguous lane-wide loop the compiler autovectorizes.
-//!   Per lane the floating-point sequence is the scalar kernel's, so the
-//!   lanes need no reassociation and agree with the scalar path bit-for-
-//!   bit up to the sign of zeros.
+//!   Lanes never mix, so the sweeps need no reassociation. Linear batches
+//!   agree with the scalar path bit-for-bit up to the sign of zeros;
+//!   batches with MOSFETs order the elimination differently (below) and
+//!   agree with it to ≤ 1e-9 per lane.
 //! * **Delta stamping** — devices whose value is identical across the
 //!   batch are stamped once into a *baseline plane*; each iteration
 //!   broadcasts the baseline across the lanes and only the differing
@@ -26,24 +27,35 @@
 //!   repack, so one pathological variant never poisons its batchmates.
 //!   Failed variants re-run on the scalar path with the full rescue
 //!   ladder, exactly as before.
+//! * **Leading-block reuse** — the symbolic analysis orders the rows the
+//!   MOSFETs touch after every other node row (and before the
+//!   voltage-source rows), so the pivots ahead of them see only the
+//!   linear stamp. Each block eliminates those leading pivots once per
+//!   `(h, method)` and every Newton iteration re-eliminates only the
+//!   trailing rows, after adding the MOSFET companions to the restored
+//!   Schur complement.
 //! * **Amortised singularity check** — one infinity-norm pass and one
 //!   pivot test per block sweep cover all lanes; a sub-threshold (or
 //!   non-finite) pivot flags only its lane and is overwritten with 1.0
-//!   so the surviving lanes' arithmetic streams on undisturbed.
+//!   so the surviving lanes' arithmetic streams on undisturbed. The
+//!   threshold is taken over the current stamped matrix every iteration,
+//!   and the cached leading pivots are re-tested against it.
 //! * **Multi-RHS linear fast path** — batches without MOSFETs have
 //!   state-independent matrices, so each block factors once per
-//!   `(h, method)` and every subsequent Newton iteration and time step
-//!   is one lane-wide forward/back substitution.
+//!   `(h, method)` (the leading elimination covers every pivot) and
+//!   every subsequent Newton iteration and time step is one lane-wide
+//!   forward/back substitution.
 //!
 //! The entry point is [`transient_batch`]; [`BatchSim`] packs one aligned
 //! group explicitly. `SimOptions::batch == 0` (the default) keeps every
 //! caller on the scalar path, bit-identical to [`transient_cached`].
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use clocksense_netlist::Circuit;
 
-use crate::engine::{MnaSystem, Row, StampPlan};
+use crate::engine::{MnaSystem, MosSlots, Row, StampPlan};
 use crate::error::SpiceError;
 use crate::mos_eval::channel_current_lanes;
 use crate::options::{IntegrationMethod, SimOptions, SolverKind, TimestepControl};
@@ -101,13 +113,28 @@ struct LaneBlock {
     base: usize,
     /// Number of real variants in the block (`1..=L`).
     width: usize,
-    /// Interleaved value planes, `nnz * L`.
+    /// Interleaved value planes, `nnz * L`. Rows `0..lead` hold their
+    /// final LU factors from the leading elimination of the current
+    /// `(h, be)`; the trailing rows are re-eliminated per Newton
+    /// iteration.
     vals: Vec<f64>,
-    /// Linear fast path: the factored planes and the `(h, be)` they were
-    /// factored for. Invalidated whenever the step size or method flips.
+    /// The trailing window of the plane (slots from `row_start[lead]`
+    /// on) as the leading elimination for `factored_key` left it: the
+    /// linear Schur complement each Newton iteration restores before it
+    /// adds the MOSFET stamps. Empty on the linear fast path (`lead = n`),
+    /// where `vals` holds the complete factors.
     factored: Vec<f64>,
-    has_factored: bool,
-    factored_key: (u64, bool),
+    /// The `(h, be)` the leading elimination ran for; invalidated
+    /// whenever the step size or method flips.
+    factored_key: Option<(u64, bool)>,
+    /// The trailing window as stamped, before any elimination.
+    tail_raw: Vec<f64>,
+    /// `tail_raw` plus the current iteration's MOSFET stamps: the
+    /// trailing rows of the matrix the pivot threshold is taken over.
+    tail_stamped: Vec<f64>,
+    /// Per-lane summary of the leading elimination for the threshold
+    /// test of every Newton iteration.
+    lead: LeadSummary,
     /// Iteration-invariant RHS of the current step (waves, current
     /// sources, capacitor `ieq`), `dim * L`.
     rhs_base: Vec<f64>,
@@ -143,6 +170,29 @@ struct LaneBlock {
     comp_ieq: Vec<f64>,
 }
 
+/// What the per-iteration singularity test needs of the leading pivots
+/// `0..lead`, recorded once per `(h, be)`: the leading rows' share of the
+/// infinity norm, and enough of the pivots to re-test them all against
+/// any threshold.
+#[derive(Debug, Default, Clone, Copy)]
+struct LeadSummary {
+    /// Largest absolute row sum over the leading rows, per lane.
+    norm: [f64; L],
+    /// Smallest `|pivot|` among the leading pivots, per lane.
+    min_pivot: [f64; L],
+    /// A leading pivot was NaN or below `f64::MIN_POSITIVE` (so below any
+    /// threshold); it was replaced by `1.0` to keep the lane finite.
+    failed: [bool; L],
+}
+
+impl LeadSummary {
+    /// Per-lane verdict of the leading pivots against `threshold`: the
+    /// same flags testing each pivot `!(|p| >= threshold)` would raise.
+    fn singular(&self, threshold: &[f64; L]) -> [bool; L] {
+        std::array::from_fn(|l| self.failed[l] || self.min_pivot[l] < threshold[l])
+    }
+}
+
 /// Locally accumulated per-step telemetry, flushed to the `batch.*` (and,
 /// via [`LuTally`], `spice.*`) atomics in one `add` per counter per
 /// lockstep step — the Newton inner loop touches no shared cache lines.
@@ -159,6 +209,7 @@ struct StepTally {
     lane_parked: u64,
     lane_padding: u64,
     lane_factor_sweeps: u64,
+    lead_factor_sweeps: u64,
     lu: LuTally,
 }
 
@@ -173,6 +224,7 @@ impl StepTally {
         bm.lane_slots_parked.add(self.lane_parked);
         bm.lane_slots_padding.add(self.lane_padding);
         bm.lane_factor_sweeps.add(self.lane_factor_sweeps);
+        bm.lead_factor_sweeps.add(self.lead_factor_sweeps);
         self.lu.flush();
     }
 }
@@ -233,6 +285,10 @@ pub struct BatchSim {
     variants: Vec<Variant>,
     blocks: Vec<LaneBlock>,
     plan: Arc<StampPlan>,
+    /// The MOSFET stamps addressed into the trailing window of the plane
+    /// (slots from `row_start[lead]` on), which holds every row and
+    /// column they touch.
+    mos_tail: Vec<MosSlots>,
     /// Scratch plane the shared baseline stamp is built in.
     baseline: SparseMatrix,
     /// The `(h, method)` the baseline plane currently holds; the stamp is
@@ -332,11 +388,18 @@ impl BatchSim {
     fn from_systems(systems: Vec<MnaSystem>, opts: &SimOptions, cache: &SymbolicCache) -> BatchSim {
         let sys0 = &systems[0];
         let pattern = sys0.stamp_pattern();
-        let (sym, hit) = cache.get_or_analyze(sys0.dim, &pattern, sys0.vsources.len());
+        let (sym, hit) = cache.get_or_analyze(
+            sys0.dim,
+            &pattern,
+            sys0.vsources.len(),
+            &sys0.nonlinear_rows(),
+        );
         let plan =
             Arc::new(sys0.build_plan(&mut |r, c| {
                 sym.slot(r, c).expect("stamped position is in the pattern")
             }));
+        let tail_off = sym.row_start[sym.lead];
+        let mos_tail = plan.mos.iter().map(|m| m.shifted(tail_off)).collect();
         let baseline = if hit {
             SparseMatrix::new_cached(Arc::clone(&sym))
         } else {
@@ -386,6 +449,7 @@ impl BatchSim {
                     b * L,
                     (variants.len() - b * L).min(L),
                     nnz,
+                    nnz - tail_off,
                     dim,
                     &variants,
                     &deltas,
@@ -397,6 +461,7 @@ impl BatchSim {
             variants,
             blocks,
             plan,
+            mos_tail,
             baseline,
             baseline_key: None,
             deltas,
@@ -537,8 +602,13 @@ impl BatchSim {
                 ..StepTally::default()
             };
 
-            let (plan, deltas, baseline, linear) =
-                (&self.plan, &self.deltas, &self.baseline, self.linear);
+            let (plan, mos_tail, deltas, baseline, linear) = (
+                &self.plan,
+                &self.mos_tail,
+                &self.deltas,
+                &self.baseline,
+                self.linear,
+            );
             for block in &mut self.blocks {
                 let vars = &mut self.variants[block.base..block.base + block.width];
                 tally.lane_scheduled += L as u64;
@@ -555,7 +625,8 @@ impl BatchSim {
                     );
                 } else {
                     block.step_newton(
-                        vars, &sym, plan, deltas, baseline, t_next, h, be, &opts, &mut tally,
+                        vars, &sym, plan, mos_tail, deltas, baseline, t_next, h, be, &opts,
+                        &mut tally,
                     );
                 }
             }
@@ -812,30 +883,17 @@ fn record_lanes(vars: &mut [Variant], x: &[f64], dim: usize, accept: &[bool; L])
     }
 }
 
-/// The masked multi-plane LU elimination sweep: factors all `L`
-/// interleaved planes of one block in place, returning a per-lane
-/// singularity flag.
-///
-/// Per lane this performs exactly the scalar `factor` sweep — same
-/// infinity norm (accumulated in the same row/slot order), same pivot
-/// threshold, same elimination schedule through `upd_targets` — so a
-/// healthy lane's factors are bit-identical to its scalar plane's, up to
-/// the sign of zeros (the scalar `factor != 0` skip is dropped; a lane
-/// that multiplies by an exact zero adds `±0.0`, which changes nothing).
-/// A sub-threshold or non-finite pivot flags its lane and is overwritten
-/// with `1.0`, keeping the remaining lanes' arithmetic finite without
-/// branching in the inner loop.
-#[inline(always)]
-fn lane_factor_body(sym: &Symbolic, vals: &mut [f64], row_buf: &mut Vec<f64>) -> [bool; L] {
-    let n = sym.n;
-
-    // One amortised infinity-norm pass over the whole block, in the
-    // scalar sweep's row/slot order per lane.
+/// Per-lane infinity norm over the rows `rows` of a value window that
+/// starts at slot `off`: each row's absolute values summed in slot order,
+/// then the maximum over the rows — the scalar `factor` sweep's norm, row
+/// by row. Taking the maximum of two disjoint row ranges' norms gives the
+/// norm of their union exactly.
+fn lane_row_norm(sym: &Symbolic, plane: &[f64], off: usize, rows: Range<usize>) -> [f64; L] {
     let mut norm = [0.0f64; L];
-    for k in 0..n {
+    for k in rows {
         let mut row = [0.0f64; L];
-        for slot in sym.row_start[k]..sym.row_start[k + 1] {
-            for (acc, v) in row.iter_mut().zip(&vals[slot * L..slot * L + L]) {
+        for slot in sym.row_start[k] - off..sym.row_start[k + 1] - off {
+            for (acc, v) in row.iter_mut().zip(&plane[slot * L..slot * L + L]) {
                 *acc += v.abs();
             }
         }
@@ -843,26 +901,54 @@ fn lane_factor_body(sym: &Symbolic, vals: &mut [f64], row_buf: &mut Vec<f64>) ->
             *nl = nl.max(*rl);
         }
     }
-    let scale = (n as f64).sqrt();
-    let mut threshold = [0.0f64; L];
-    for (th, nl) in threshold.iter_mut().zip(&norm) {
-        *th = (f64::EPSILON * nl * scale).max(f64::MIN_POSITIVE);
-    }
+    norm
+}
 
-    let mut singular = [false; L];
-    for k in 0..n {
+/// The per-lane pivot threshold `ε · ‖A‖_∞ · √n` of the scalar solvers,
+/// with `‖A‖_∞` the larger of the leading and trailing rows' norms.
+fn lane_threshold(lead_norm: &[f64; L], tail_norm: &[f64; L], n: usize) -> [f64; L] {
+    let scale = (n as f64).sqrt();
+    std::array::from_fn(|l| {
+        (f64::EPSILON * lead_norm[l].max(tail_norm[l]) * scale).max(f64::MIN_POSITIVE)
+    })
+}
+
+/// The masked multi-plane LU elimination sweep over the pivots `pivots`:
+/// eliminates those columns of all `L` interleaved planes of one block in
+/// place and returns a per-lane flag of the pivots that failed `floor`.
+///
+/// Per lane this performs exactly the scalar `factor` sweep's operations
+/// for those pivots, through the same elimination schedule
+/// (`upd_targets`), up to the sign of zeros (the scalar `factor != 0`
+/// skip is dropped; a lane that multiplies by an exact zero adds `±0.0`,
+/// which changes nothing). A pivot `p` with `!(|p| >= floor)` — below the
+/// floor or NaN — flags its lane and is overwritten with `1.0`, keeping
+/// the remaining lanes' arithmetic finite without branching in the inner
+/// loop. `min_pivot` folds in `|p|` of every pivot as found.
+#[inline(always)]
+fn lane_eliminate_body(
+    sym: &Symbolic,
+    vals: &mut [f64],
+    row_buf: &mut Vec<f64>,
+    pivots: Range<usize>,
+    floor: &[f64; L],
+    min_pivot: &mut [f64; L],
+) -> [bool; L] {
+    let mut flagged = [false; L];
+    for k in pivots {
         let dk = sym.diag[k] * L;
-        let mut pivots = [0.0f64; L];
+        let mut pivot = [0.0f64; L];
         for l in 0..L {
             let p = vals[dk + l];
+            min_pivot[l] = min_pivot[l].min(p.abs());
             // `!(>=)` also catches a NaN pivot riding in a dead lane.
             #[allow(clippy::neg_cmp_op_on_partial_ord)]
-            if !(p.abs() >= threshold[l]) {
-                singular[l] = true;
+            if !(p.abs() >= floor[l]) {
+                flagged[l] = true;
                 vals[dk + l] = 1.0;
-                pivots[l] = 1.0;
+                pivot[l] = 1.0;
             } else {
-                pivots[l] = p;
+                pivot[l] = p;
             }
         }
         // Row k is never modified while column k eliminates, so snapshot
@@ -874,7 +960,7 @@ fn lane_factor_body(sym: &Symbolic, vals: &mut [f64], row_buf: &mut Vec<f64>) ->
         for idx in sym.col_start[k]..sym.col_start[k + 1] {
             let s = sym.col_slots[idx] * L;
             let mut factor = [0.0f64; L];
-            for ((f, v), p) in factor.iter_mut().zip(&mut vals[s..s + L]).zip(&pivots) {
+            for ((f, v), p) in factor.iter_mut().zip(&mut vals[s..s + L]).zip(&pivot) {
                 *f = *v / p;
                 *v = *f;
             }
@@ -888,14 +974,14 @@ fn lane_factor_body(sym: &Symbolic, vals: &mut [f64], row_buf: &mut Vec<f64>) ->
             }
         }
     }
-    singular
+    flagged
 }
 
 /// Lane-wide forward/back substitution with the factors left by
-/// [`lane_factor`]: solves all `L` planes of one block against their
+/// [`lane_eliminate`]: solves all `L` planes of one block against their
 /// interleaved right-hand sides in one sweep. Per lane the operation
 /// order is the scalar `substitute`'s (the `yk != 0` skip is dropped —
-/// see [`lane_factor_body`]).
+/// see [`lane_eliminate_body`]).
 #[inline(always)]
 fn lane_substitute_body(sym: &Symbolic, vals: &[f64], rhs: &[f64], y: &mut [f64], out: &mut [f64]) {
     let n = sym.n;
@@ -947,34 +1033,51 @@ fn lane_substitute_body(sym: &Symbolic, vals: &[f64], rhs: &[f64], y: &mut [f64]
 
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
-unsafe fn lane_factor_avx512(
+unsafe fn lane_eliminate_avx512(
     sym: &Symbolic,
     vals: &mut [f64],
     row_buf: &mut Vec<f64>,
+    pivots: Range<usize>,
+    floor: &[f64; L],
+    min_pivot: &mut [f64; L],
 ) -> [bool; L] {
-    lane_factor_body(sym, vals, row_buf)
+    lane_eliminate_body(sym, vals, row_buf, pivots, floor, min_pivot)
 }
 
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn lane_factor_avx2(sym: &Symbolic, vals: &mut [f64], row_buf: &mut Vec<f64>) -> [bool; L] {
-    lane_factor_body(sym, vals, row_buf)
+unsafe fn lane_eliminate_avx2(
+    sym: &Symbolic,
+    vals: &mut [f64],
+    row_buf: &mut Vec<f64>,
+    pivots: Range<usize>,
+    floor: &[f64; L],
+    min_pivot: &mut [f64; L],
+) -> [bool; L] {
+    lane_eliminate_body(sym, vals, row_buf, pivots, floor, min_pivot)
 }
 
-fn lane_factor(sym: &Symbolic, vals: &mut [f64], row_buf: &mut Vec<f64>) -> [bool; L] {
+fn lane_eliminate(
+    sym: &Symbolic,
+    vals: &mut [f64],
+    row_buf: &mut Vec<f64>,
+    pivots: Range<usize>,
+    floor: &[f64; L],
+    min_pivot: &mut [f64; L],
+) -> [bool; L] {
     #[cfg(target_arch = "x86_64")]
     {
         // SAFETY: the feature is detected at runtime just before the
         // call; the bodies contain no ISA-specific intrinsics beyond
         // what codegen emits for the detected feature.
         if std::arch::is_x86_feature_detected!("avx512f") {
-            return unsafe { lane_factor_avx512(sym, vals, row_buf) };
+            return unsafe { lane_eliminate_avx512(sym, vals, row_buf, pivots, floor, min_pivot) };
         }
         if std::arch::is_x86_feature_detected!("avx2") {
-            return unsafe { lane_factor_avx2(sym, vals, row_buf) };
+            return unsafe { lane_eliminate_avx2(sym, vals, row_buf, pivots, floor, min_pivot) };
         }
     }
-    lane_factor_body(sym, vals, row_buf)
+    lane_eliminate_body(sym, vals, row_buf, pivots, floor, min_pivot)
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -1004,7 +1107,7 @@ unsafe fn lane_substitute_avx2(
 fn lane_substitute(sym: &Symbolic, vals: &[f64], rhs: &[f64], y: &mut [f64], out: &mut [f64]) {
     #[cfg(target_arch = "x86_64")]
     {
-        // SAFETY: as in `lane_factor`.
+        // SAFETY: as in `lane_eliminate`.
         if std::arch::is_x86_feature_detected!("avx512f") {
             return unsafe { lane_substitute_avx512(sym, vals, rhs, y, out) };
         }
@@ -1030,7 +1133,7 @@ unsafe fn lanes_finite_avx2(x_new: &[f64], dim: usize) -> [bool; L] {
 fn lanes_finite(x_new: &[f64], dim: usize) -> [bool; L] {
     #[cfg(target_arch = "x86_64")]
     {
-        // SAFETY: as in `lane_factor`.
+        // SAFETY: as in `lane_eliminate`.
         if std::arch::is_x86_feature_detected!("avx512f") {
             return unsafe { lanes_finite_avx512(x_new, dim) };
         }
@@ -1074,7 +1177,7 @@ fn converge_update_lanes(
 ) -> [bool; L] {
     #[cfg(target_arch = "x86_64")]
     {
-        // SAFETY: as in `lane_factor`.
+        // SAFETY: as in `lane_eliminate`.
         if std::arch::is_x86_feature_detected!("avx512f") {
             return unsafe { converge_update_lanes_avx512(x, x_new, n_v, dim, opts) };
         }
@@ -1089,10 +1192,13 @@ impl LaneBlock {
     /// Packs variants `base..base + width` into one interleaved block.
     /// Padding lanes (`width..L`) mirror the last real variant's device
     /// values so their ride-along arithmetic stays finite.
+    /// `nnz` is the pattern's slot count, `tail` the length of its
+    /// trailing window.
     fn new(
         base: usize,
         width: usize,
         nnz: usize,
+        tail: usize,
         dim: usize,
         variants: &[Variant],
         deltas: &DeltaSets,
@@ -1120,9 +1226,11 @@ impl LaneBlock {
             base,
             width,
             vals: vec![0.0; nnz * L],
-            factored: vec![0.0; nnz * L],
-            has_factored: false,
-            factored_key: (0, false),
+            factored: vec![0.0; tail * L],
+            factored_key: None,
+            tail_raw: vec![0.0; tail * L],
+            tail_stamped: vec![0.0; tail * L],
+            lead: LeadSummary::default(),
             rhs_base: vec![0.0; dim * L],
             rhs: vec![0.0; dim * L],
             x: vec![0.0; dim * L],
@@ -1250,7 +1358,7 @@ impl LaneBlock {
     fn companions_lanes(&mut self, h: f64, be: bool) {
         #[cfg(target_arch = "x86_64")]
         {
-            // SAFETY: as in `lane_factor`.
+            // SAFETY: as in `lane_eliminate`.
             if std::arch::is_x86_feature_detected!("avx512f") {
                 return unsafe { self.companions_lanes_avx512(h, be) };
             }
@@ -1276,7 +1384,7 @@ impl LaneBlock {
     fn accept_states(&mut self, sys: &MnaSystem) {
         #[cfg(target_arch = "x86_64")]
         {
-            // SAFETY: as in `lane_factor`.
+            // SAFETY: as in `lane_eliminate`.
             if std::arch::is_x86_feature_detected!("avx512f") {
                 return unsafe { self.accept_states_avx512(sys) };
             }
@@ -1357,10 +1465,13 @@ impl LaneBlock {
     /// Evaluates and stamps every MOSFET's linearised companion across
     /// all lanes: one [`channel_current_lanes`] call per device, then
     /// lane-wide Jacobian, RHS and gmin stamps in the scalar per-device
-    /// order.
-    fn stamp_mos_lanes(&mut self, vars: &[Variant], plan: &StampPlan, gmin: f64) {
+    /// order. `mos` addresses the trailing window (see
+    /// [`BatchSim::mos_tail`]); the Jacobian stamps land both in that
+    /// window of `vals` (the restored Schur complement) and in
+    /// `tail_stamped` (the unfactored rows the threshold is taken over).
+    fn stamp_mos_lanes(&mut self, vars: &[Variant], mos: &[MosSlots], off: usize, gmin: f64) {
         let gmin_lanes = [gmin; L];
-        for (mi, slots) in plan.mos.iter().enumerate() {
+        for (mi, slots) in mos.iter().enumerate() {
             let mos0 = &vars[0].sys.mosfets[mi];
             let mut vd = [0.0f64; L];
             let mut vg = [0.0f64; L];
@@ -1381,12 +1492,15 @@ impl LaneBlock {
                 g_s[l] = ops[l].g_s;
                 i_eq[l] = ops[l].id - g_d[l] * vd[l] - g_g[l] * vg[l] - g_s[l] * vs[l];
             }
-            lane_add(&mut self.vals, slots.dd, &g_d);
-            lane_add(&mut self.vals, slots.dg, &g_g);
-            lane_add(&mut self.vals, slots.ds, &g_s);
-            lane_sub(&mut self.vals, slots.sd, &g_d);
-            lane_sub(&mut self.vals, slots.sg, &g_g);
-            lane_sub(&mut self.vals, slots.ss, &g_s);
+            for plane in [&mut self.vals[off * L..], &mut self.tail_stamped[..]] {
+                lane_add(plane, slots.dd, &g_d);
+                lane_add(plane, slots.dg, &g_g);
+                lane_add(plane, slots.ds, &g_s);
+                lane_sub(plane, slots.sd, &g_d);
+                lane_sub(plane, slots.sg, &g_g);
+                lane_sub(plane, slots.ss, &g_s);
+                slots.gmin.stamp_vals_lanes(plane, &gmin_lanes);
+            }
             if let Some(d) = slots.d {
                 for (r, il) in self.rhs[d * L..d * L + L].iter_mut().zip(&i_eq) {
                     *r -= il;
@@ -1397,22 +1511,70 @@ impl LaneBlock {
                     *r += il;
                 }
             }
-            slots.gmin.stamp_vals_lanes(&mut self.vals, &gmin_lanes);
         }
     }
 
-    /// Full Newton step of one block for a batch with MOSFETs: every
-    /// iteration broadcasts the baseline, delta-stamps, evaluates the
-    /// MOSFETs lane-wide, then runs one masked factor sweep and one
-    /// lane-wide substitution for all still-solving lanes. Converged and
-    /// failed lanes park in place; per lane the iterate sequence is the
-    /// scalar kernel's.
+    /// Stamps the linear planes for a step of size `h` and eliminates the
+    /// leading pivots `0..lead` — once per `(h, be)`: returns `false`
+    /// without work when `factored_key` already matches. Keeps the
+    /// unfactored trailing window in `tail_raw`, the partially eliminated
+    /// one in `factored`, and the leading rows' norm and pivot summary
+    /// for the per-iteration threshold test. Pivots are only floored at
+    /// `f64::MIN_POSITIVE` here (the threshold depends on stamps still to
+    /// come); [`LeadSummary::singular`] applies the threshold.
+    #[allow(clippy::too_many_arguments)]
+    fn factor_lead(
+        &mut self,
+        sym: &Symbolic,
+        plan: &StampPlan,
+        deltas: &DeltaSets,
+        baseline: &SparseMatrix,
+        h: f64,
+        be: bool,
+        tally: &mut StepTally,
+    ) -> bool {
+        let key = (h.to_bits(), be);
+        if self.factored_key == Some(key) {
+            return false;
+        }
+        self.stamp_lanes(plan, deltas, baseline, h, be);
+        let off = sym.row_start[sym.lead];
+        self.tail_raw.copy_from_slice(&self.vals[off * L..]);
+        let mut min_pivot = [f64::INFINITY; L];
+        self.lead = LeadSummary {
+            norm: lane_row_norm(sym, &self.vals, 0, 0..sym.lead),
+            failed: lane_eliminate(
+                sym,
+                &mut self.vals,
+                &mut self.row_buf,
+                0..sym.lead,
+                &[f64::MIN_POSITIVE; L],
+                &mut min_pivot,
+            ),
+            min_pivot,
+        };
+        self.factored.copy_from_slice(&self.vals[off * L..]);
+        self.factored_key = Some(key);
+        tally.lead_factor_sweeps += 1;
+        true
+    }
+
+    /// Full Newton step of one block for a batch with MOSFETs. The linear
+    /// stamp and its leading elimination are reused while `(h, be)` holds
+    /// ([`factor_lead`](LaneBlock::factor_lead)); every iteration restores
+    /// the trailing window, adds the MOSFET companions evaluated
+    /// lane-wide, re-eliminates only the pivots `lead..n`, and runs one
+    /// lane-wide substitution for all still-solving lanes. Every leading
+    /// pivot is re-tested against each iteration's threshold. Converged
+    /// and failed lanes park in place; per lane the iterate sequence is
+    /// the scalar kernel's, up to the rounding of the reordered sums.
     #[allow(clippy::too_many_arguments)]
     fn step_newton(
         &mut self,
         vars: &mut [Variant],
         sym: &Symbolic,
         plan: &StampPlan,
+        mos_tail: &[MosSlots],
         deltas: &DeltaSets,
         baseline: &SparseMatrix,
         t_next: f64,
@@ -1431,6 +1593,8 @@ impl LaneBlock {
         let mut done = [false; L];
         self.companions_lanes(h, be);
         self.build_rhs_base(vars, plan, t_next);
+        self.factor_lead(sym, plan, deltas, baseline, h, be, tally);
+        let off = sym.row_start[sym.lead];
         for _ in 0..opts.max_newton_iters {
             if !solving.iter().any(|&s| s) {
                 break;
@@ -1446,10 +1610,24 @@ impl LaneBlock {
                     break;
                 }
             }
-            self.stamp_lanes(plan, deltas, baseline, h, be);
+            self.vals[off * L..].copy_from_slice(&self.factored);
+            self.tail_stamped.copy_from_slice(&self.tail_raw);
             self.rhs.copy_from_slice(&self.rhs_base);
-            self.stamp_mos_lanes(vars, plan, opts.gmin);
-            let singular = lane_factor(sym, &mut self.vals, &mut self.row_buf);
+            self.stamp_mos_lanes(vars, mos_tail, off, opts.gmin);
+            let tail_norm = lane_row_norm(sym, &self.tail_stamped, off, sym.lead..sym.n);
+            let threshold = lane_threshold(&self.lead.norm, &tail_norm, sym.n);
+            let mut singular = self.lead.singular(&threshold);
+            let tail_singular = lane_eliminate(
+                sym,
+                &mut self.vals,
+                &mut self.row_buf,
+                sym.lead..sym.n,
+                &threshold,
+                &mut [f64::INFINITY; L],
+            );
+            for (s, t) in singular.iter_mut().zip(tail_singular) {
+                *s |= t;
+            }
             tally.lane_factor_sweeps += 1;
             let live = solving.iter().filter(|&&s| s).count() as u64;
             tally.lu.refactors += live;
@@ -1495,11 +1673,12 @@ impl LaneBlock {
 
     /// Linear fast path of one block (no MOSFETs): the matrices are
     /// independent of the iterate, so the block factors all lanes once
-    /// per `(h, method)` and every Newton iteration of every step at
-    /// that size is one lane-wide substitution. The damped-update walk
-    /// still runs exactly as in the scalar loop — repeated solves of an
-    /// unchanged linear system yield an unchanged candidate, so
-    /// re-solving is skipped, not re-ordered.
+    /// per `(h, method)` — the leading elimination with `lead = n` — and
+    /// every Newton iteration of every step at that size is one
+    /// lane-wide substitution. The damped-update walk still runs exactly
+    /// as in the scalar loop — repeated solves of an unchanged linear
+    /// system yield an unchanged candidate, so re-solving is skipped, not
+    /// re-ordered.
     #[allow(clippy::too_many_arguments)]
     fn step_linear(
         &mut self,
@@ -1527,23 +1706,22 @@ impl LaneBlock {
         let dim = vars[0].sys.dim;
         let n_v = vars[0].sys.n_v;
         self.companions_lanes(h, be);
-        let key = (h.to_bits(), be);
         let mut factored_now = 0u64;
-        if !self.has_factored || self.factored_key != key {
-            self.stamp_lanes(plan, deltas, baseline, h, be);
-            let singular = lane_factor(sym, &mut self.vals, &mut self.row_buf);
+        // With no MOSFET rows the leading elimination is the whole
+        // factorisation (`lead = n`) and its threshold is final.
+        if self.factor_lead(sym, plan, deltas, baseline, h, be, tally) {
             tally.lane_factor_sweeps += 1;
             let live = vars.iter().filter(|v| v.failed.is_none()).count() as u64;
             tally.lu.refactors += live;
             tally.lu.reuse_hits += live;
+            let singular = self
+                .lead
+                .singular(&lane_threshold(&self.lead.norm, &[0.0; L], sym.n));
             for (l, v) in vars.iter_mut().enumerate() {
                 if v.failed.is_none() && singular[l] {
                     v.failed = Some(SpiceError::SingularMatrix);
                 }
             }
-            self.factored.copy_from_slice(&self.vals);
-            self.has_factored = true;
-            self.factored_key = key;
             factored_now = 1;
         }
         if vars.iter().all(|v| v.failed.is_some()) {
@@ -1554,7 +1732,7 @@ impl LaneBlock {
         // the whole RHS and one substitution serves every walk iteration.
         lane_substitute(
             sym,
-            &self.factored,
+            &self.vals,
             &self.rhs_base,
             &mut self.y,
             &mut self.x_new,
@@ -1668,15 +1846,21 @@ impl Variant {
 /// The scalar fallback (per variant) triggers when:
 ///
 /// * `opts.batch < 2`, the solver is [`Dense`](SolverKind::Dense), or the
-///   timestep control is adaptive — batching is then disabled wholesale;
-/// * a circuit aligns with no other circuit in the slice (singleton
-///   group);
+///   timestep control is adaptive — batching is then disabled wholesale
+///   (counted as `batch.fallback_dense` / `batch.fallback_adaptive` when
+///   `batch >= 2` was asked for; `batch < 2` counts nothing);
+/// * a circuit aligns with no other circuit in the slice
+///   (`batch.fallback_unaligned`, which also counts circuits whose
+///   system cannot be built), or is left alone in the last chunk of its
+///   group (`batch.fallback_singleton`);
 /// * a variant **drops out** of its batch: its DC solve or a lockstep
 ///   Newton step failed. Its lane parks; the variant re-runs scalar from
 ///   `t = 0` with step halving and the full rescue ladder available, so a
 ///   variant that is merely *hard* still completes, and one that truly
 ///   fails reports the scalar path's structured error — batchmates never
-///   see any of it.
+///   see any of it (`batch.fallback_dropout`).
+///
+/// Every fallback also counts in `batch.variants_scalar_fallback`.
 ///
 /// Results are returned in input order. With identical source waveforms
 /// across a batch the lockstep grid is exactly the scalar grid; variants
@@ -1719,10 +1903,24 @@ pub fn transient_batch(
     cache: &SymbolicCache,
 ) -> Vec<Result<TranResult, SpiceError>> {
     let scalar = |ckt: &Circuit| transient_cached(ckt, t_stop, opts, cache);
-    if opts.batch < 2
-        || opts.solver != SolverKind::Sparse
-        || !matches!(opts.timestep, TimestepControl::Fixed)
-    {
+    if opts.batch < 2 {
+        return circuits.iter().map(scalar).collect();
+    }
+    // Every fallback is counted under its reason and in the total.
+    let bm = crate::metrics::batch_metrics();
+    let fallback = |reason: &clocksense_telemetry::Counter, n: usize| {
+        reason.add(n as u64);
+        bm.variants_scalar_fallback.add(n as u64);
+    };
+    let ruled_out = if opts.solver != SolverKind::Sparse {
+        Some(&bm.fallback_dense)
+    } else if !matches!(opts.timestep, TimestepControl::Fixed) {
+        Some(&bm.fallback_adaptive)
+    } else {
+        None
+    };
+    if let Some(reason) = ruled_out {
+        fallback(reason, circuits.len());
         return circuits.iter().map(scalar).collect();
     }
 
@@ -1732,7 +1930,6 @@ pub fn transient_batch(
     let mut results: Vec<Option<Result<TranResult, SpiceError>>> =
         (0..circuits.len()).map(|_| None).collect();
     let mut groups: Vec<Vec<(usize, MnaSystem)>> = Vec::new();
-    let bm = crate::metrics::batch_metrics();
     for (idx, ckt) in circuits.iter().enumerate() {
         match MnaSystem::build(ckt) {
             Ok(sys) => {
@@ -1743,11 +1940,19 @@ pub fn transient_batch(
                 }
             }
             // Scalar reproduces the structural error with full context.
-            Err(_) => results[idx] = Some(scalar(ckt)),
+            Err(_) => {
+                fallback(&bm.fallback_unaligned, 1);
+                results[idx] = Some(scalar(ckt));
+            }
         }
     }
 
     for group in groups {
+        let reason = if group.len() < 2 {
+            &bm.fallback_unaligned
+        } else {
+            &bm.fallback_singleton
+        };
         let mut members = group.into_iter().peekable();
         while members.peek().is_some() {
             // Draining by value hands each chunk's systems to the
@@ -1756,7 +1961,7 @@ pub fn transient_batch(
             let chunk: Vec<(usize, MnaSystem)> = members.by_ref().take(opts.batch.max(1)).collect();
             if chunk.len() < 2 {
                 for (idx, _) in &chunk {
-                    bm.variants_scalar_fallback.incr();
+                    fallback(reason, 1);
                     results[*idx] = Some(scalar(&circuits[*idx]));
                 }
                 continue;
@@ -1773,7 +1978,7 @@ pub fn transient_batch(
                         if matches!(e, SpiceError::NonConvergence { .. }) {
                             bm.dropouts_nonconvergence.incr();
                         }
-                        bm.variants_scalar_fallback.incr();
+                        fallback(&bm.fallback_dropout, 1);
                         scalar(&circuits[*idx])
                     }
                 });
@@ -1923,6 +2128,169 @@ mod tests {
             .map(|i| inverter(4e-6 * (1.0 + 0.1 * i as f64)))
             .collect();
         assert_matches_scalar(&circuits, 1e-9, &batch_opts(9), 1e-6);
+    }
+
+    /// The leading/trailing split with its cached pivot summary flags
+    /// exactly the lanes one full sweep over the complete stamped matrix
+    /// flags, and factors the healthy lanes to the same values up to
+    /// rounding: healthy, singular and NaN leading pivots, a leading pivot
+    /// that only the nonlinear stamps' share of the norm makes
+    /// sub-threshold, and singular or NaN trailing pivots.
+    #[test]
+    fn split_elimination_flags_the_lanes_a_full_sweep_flags() {
+        let mut seed = 0x13198a2e03707344u64;
+        let mut rnd = move || {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            seed as f64 / u64::MAX as f64
+        };
+        let n = 30;
+        let late = [3usize, 7, 12, 19, 25, 28];
+        let mut pattern: Vec<(usize, usize)> = (0..n).map(|i| (i, i)).collect();
+        for i in 0..n {
+            for _ in 0..2 {
+                let j = (rnd() * n as f64) as usize % n;
+                if i != j {
+                    pattern.extend([(i, j), (j, i)]);
+                }
+            }
+        }
+        // The nonlinear stamps couple every pair of late rows.
+        for &a in &late {
+            for &b in &late {
+                pattern.push((a, b));
+            }
+        }
+        let sym = Symbolic::analyze(n, &pattern, 0, &late);
+        let off = sym.row_start[sym.lead];
+        let nnz = sym.nnz();
+        assert!(0 < sym.lead && sym.lead < n);
+        let lead_row = sym.perm[sym.lead / 2];
+        let tail_row = sym.perm[n - 2];
+
+        // Linear stamp: diagonally dominant conductances per lane.
+        let mut lin = vec![0.0f64; nnz * L];
+        let mut nonlin = vec![0.0f64; nnz * L];
+        for &(r, c) in &pattern {
+            if r < c {
+                for l in 0..L {
+                    let g = 0.5 + rnd();
+                    for (i, j, v) in [(r, r, g), (c, c, g), (r, c, -g), (c, r, -g)] {
+                        lin[sym.slot(i, j).unwrap() * L + l] += v;
+                    }
+                }
+            }
+        }
+        for i in 0..n {
+            for l in 0..L {
+                lin[sym.slot(i, i).unwrap() * L + l] += 1e-3;
+            }
+        }
+        for &a in &late {
+            for &b in &late {
+                for l in 0..L {
+                    nonlin[sym.slot(a, b).unwrap() * L + l] += 1e-2 * (rnd() - 0.5);
+                }
+            }
+        }
+        let scale_row = |plane: &mut [f64], row: usize, lane: usize, f: f64| {
+            for c in 0..n {
+                if let Some(s) = sym.slot(row, c) {
+                    plane[s * L + lane] *= f;
+                }
+            }
+        };
+        // Lane 1: an all-zero leading row. Lane 2: a NaN leading pivot.
+        // Lane 3: a leading row far below any threshold. Lane 4: a leading
+        // row below the threshold only once the large nonlinear stamps
+        // enter the norm. Lane 5: an all-zero trailing row. Lane 6: a NaN
+        // nonlinear stamp. Lanes 0 and 7 are healthy.
+        scale_row(&mut lin, lead_row, 1, 0.0);
+        lin[sym.slot(lead_row, lead_row).unwrap() * L + 2] = f64::NAN;
+        scale_row(&mut lin, lead_row, 3, 1e-30);
+        scale_row(&mut lin, lead_row, 4, 1e-9);
+        for &a in &late {
+            nonlin[sym.slot(a, a).unwrap() * L + 4] += 1e8;
+        }
+        scale_row(&mut lin, tail_row, 5, 0.0);
+        scale_row(&mut nonlin, tail_row, 5, 0.0);
+        nonlin[sym.slot(late[0], late[1]).unwrap() * L + 6] = f64::NAN;
+
+        // Full sweep over the complete stamped matrix.
+        let mut full = lin.clone();
+        for (f, v) in full.iter_mut().zip(&nonlin) {
+            *f += v;
+        }
+        let full_norm = lane_row_norm(&sym, &full, 0, 0..n);
+        let full_th = lane_threshold(&full_norm, &[0.0; L], n);
+        let mut row_buf = Vec::new();
+        let full_flags = lane_eliminate(
+            &sym,
+            &mut full,
+            &mut row_buf,
+            0..n,
+            &full_th,
+            &mut [f64::INFINITY; L],
+        );
+
+        // Split: leading pivots on the linear stamp, the nonlinear stamps
+        // onto the Schur complement, then the trailing pivots.
+        let mut split = lin.clone();
+        let mut tail_stamped = split[off * L..].to_vec();
+        let mut min_pivot = [f64::INFINITY; L];
+        let lead = LeadSummary {
+            norm: lane_row_norm(&sym, &split, 0, 0..sym.lead),
+            failed: lane_eliminate(
+                &sym,
+                &mut split,
+                &mut row_buf,
+                0..sym.lead,
+                &[f64::MIN_POSITIVE; L],
+                &mut min_pivot,
+            ),
+            min_pivot,
+        };
+        for (k, v) in nonlin[off * L..].iter().enumerate() {
+            split[off * L + k] += v;
+            tail_stamped[k] += v;
+        }
+        let tail_norm = lane_row_norm(&sym, &tail_stamped, off, sym.lead..n);
+        let th = lane_threshold(&lead.norm, &tail_norm, n);
+        assert_eq!(th, full_th, "the threshold is the full matrix's");
+        let mut flags = lead.singular(&th);
+        let tail_flags = lane_eliminate(
+            &sym,
+            &mut split,
+            &mut row_buf,
+            sym.lead..n,
+            &th,
+            &mut [f64::INFINITY; L],
+        );
+        for (f, t) in flags.iter_mut().zip(tail_flags) {
+            *f |= t;
+        }
+
+        assert_eq!(
+            full_flags,
+            [false, true, true, true, true, true, true, false],
+            "the scenario exercises every lane as intended"
+        );
+        assert_eq!(flags, full_flags);
+        let linear_only = lead.singular(&lane_threshold(&lead.norm, &[0.0; L], n));
+        assert!(
+            !linear_only[4],
+            "lane 4 fails only on the current matrix's norm"
+        );
+        for l in [0, 7] {
+            for slot in 0..nnz {
+                let (a, b) = (full[slot * L + l], split[slot * L + l]);
+                assert!(
+                    (a - b).abs() <= 1e-12 * (1.0 + a.abs()),
+                    "lane {l} slot {slot}: {a} vs {b}"
+                );
+            }
+        }
     }
 
     #[test]

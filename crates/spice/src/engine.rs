@@ -126,6 +126,18 @@ impl PairSlots {
         }
     }
 
+    /// The same stamp addressed into a window of the value plane that
+    /// starts at slot `off` (every slot must lie at or past it).
+    pub fn shifted(&self, off: usize) -> PairSlots {
+        let shift = |s: Option<usize>| s.map(|s| s - off);
+        PairSlots {
+            aa: shift(self.aa),
+            ab: shift(self.ab),
+            bb: shift(self.bb),
+            ba: shift(self.ba),
+        }
+    }
+
     /// [`stamp_vals`](PairSlots::stamp_vals) across `L` interleaved lane
     /// planes: slot `s` of lane `l` lives at `vals[s * L + l]`, so each
     /// slot update is one contiguous `L`-wide add the compiler turns
@@ -236,6 +248,24 @@ pub(crate) struct MosSlots {
     pub(crate) gmin: PairSlots,
 }
 
+impl MosSlots {
+    /// The same matrix stamp addressed into a window of the value plane
+    /// that starts at slot `off` (the RHS rows are unchanged).
+    pub fn shifted(&self, off: usize) -> MosSlots {
+        let shift = |s: Option<usize>| s.map(|s| s - off);
+        MosSlots {
+            dd: shift(self.dd),
+            dg: shift(self.dg),
+            ds: shift(self.ds),
+            sd: shift(self.sd),
+            sg: shift(self.sg),
+            ss: shift(self.ss),
+            gmin: self.gmin.shifted(off),
+            ..*self
+        }
+    }
+}
+
 /// A compiled stamp program for one circuit topology on one matrix
 /// layout: every position a device writes, resolved to a direct slot
 /// index. Built once per [`MnaSystem`] + backend and reused by every
@@ -292,8 +322,11 @@ impl NewtonWorkspace {
                 let pattern = sys.stamp_pattern();
                 let n_tail = sys.vsources.len();
                 let (sym, hit) = match cache {
-                    Some(cache) => cache.get_or_analyze(dim, &pattern, n_tail),
-                    None => (Arc::new(Symbolic::analyze(dim, &pattern, n_tail)), false),
+                    Some(cache) => cache.get_or_analyze(dim, &pattern, n_tail, &[]),
+                    None => (
+                        Arc::new(Symbolic::analyze(dim, &pattern, n_tail, &[])),
+                        false,
+                    ),
                 };
                 let plan = sys.build_plan(&mut |r, c| {
                     sym.slot(r, c).expect("stamped position is in the pattern")
@@ -477,6 +510,18 @@ impl MnaSystem {
             Some(r) => x[r],
             None => 0.0,
         }
+    }
+
+    /// The rows whose matrix entries depend on the Newton iterate: every
+    /// MOSFET's drain, gate and source row (ground excluded; duplicates
+    /// possible). The batched kernel orders them last among the node
+    /// rows (see [`Symbolic::analyze`]).
+    pub fn nonlinear_rows(&self) -> Vec<usize> {
+        self.mosfets
+            .iter()
+            .flat_map(|m| [m.d, m.g, m.s])
+            .flatten()
+            .collect()
     }
 
     /// Every matrix position this system's devices stamp, sorted and

@@ -124,9 +124,23 @@ pub(crate) struct BatchMetrics {
     pub batches_run: Counter,
     /// Variants that ran inside a batch to completion.
     pub variants_batched: Counter,
-    /// Variants handed to the scalar path instead: unbatchable topology,
-    /// singleton group, or an in-batch dropout re-run.
+    /// Variants handed to the scalar path instead, for any of the
+    /// `fallback_*` reasons below (which sum to this total).
     pub variants_scalar_fallback: Counter,
+    /// Fallbacks of circuits that align with no other circuit of the
+    /// call, or whose system could not be built at all.
+    pub fallback_unaligned: Counter,
+    /// Fallbacks because `batch >= 2` was asked for on the dense solver.
+    pub fallback_dense: Counter,
+    /// Fallbacks because `batch >= 2` was asked for with the adaptive
+    /// timestep control (the lane kernel marches a fixed grid).
+    pub fallback_adaptive: Counter,
+    /// Fallbacks of variants that dropped out of their batch and re-ran
+    /// scalar.
+    pub fallback_dropout: Counter,
+    /// Fallbacks of aligned circuits left alone in the last chunk of
+    /// their group.
+    pub fallback_singleton: Counter,
     /// Dropouts caused by an in-batch Newton failure (the variant re-ran
     /// scalar from `t = 0` with the full rescue ladder available).
     pub dropouts_nonconvergence: Counter,
@@ -157,8 +171,12 @@ pub(crate) struct BatchMetrics {
     /// multiple of `LANE_WIDTH`).
     pub lane_slots_padding: Counter,
     /// Masked multi-plane factor sweeps performed (each covers every
-    /// solving lane of one block at once).
+    /// solving lane of one block at once): one per Newton iteration of
+    /// the trailing rows, one per `(h, method)` on the linear fast path.
     pub lane_factor_sweeps: Counter,
+    /// Leading-block eliminations: one per `(h, method)` change per
+    /// block, reused by every Newton iteration at that step size.
+    pub lead_factor_sweeps: Counter,
 }
 
 static METRICS: OnceLock<SpiceMetrics> = OnceLock::new();
@@ -173,6 +191,11 @@ pub(crate) fn batch_metrics() -> &'static BatchMetrics {
             batches_run: scope.counter("batches_run"),
             variants_batched: scope.counter("variants_batched"),
             variants_scalar_fallback: scope.counter("variants_scalar_fallback"),
+            fallback_unaligned: scope.counter("fallback_unaligned"),
+            fallback_dense: scope.counter("fallback_dense"),
+            fallback_adaptive: scope.counter("fallback_adaptive"),
+            fallback_dropout: scope.counter("fallback_dropout"),
+            fallback_singleton: scope.counter("fallback_singleton"),
             dropouts_nonconvergence: scope.counter("dropouts_nonconvergence"),
             steps_accepted: scope.counter("steps_accepted"),
             occupancy_active: scope.counter("occupancy_active"),
@@ -184,6 +207,7 @@ pub(crate) fn batch_metrics() -> &'static BatchMetrics {
             lane_slots_parked: scope.counter("lane_slots_parked"),
             lane_slots_padding: scope.counter("lane_slots_padding"),
             lane_factor_sweeps: scope.counter("lane_factor_sweeps"),
+            lead_factor_sweeps: scope.counter("lead_factor_sweeps"),
         }
     })
 }

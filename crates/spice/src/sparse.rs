@@ -32,11 +32,14 @@
 //! The elimination order is *static*: minimum degree over the node rows,
 //! with the voltage-source branch rows (structurally zero diagonal until
 //! fill from their terminal nodes arrives) constrained to the end of the
-//! order. MNA node rows carry `gmin` on the diagonal and are near
-//! diagonally dominant, so no numeric pivoting is needed in practice; a
-//! pivot that still falls below the norm-relative threshold (the same
-//! `ε · ‖A‖_∞ · √n` rule as the dense solver) reports
-//! [`SpiceError::SingularMatrix`] rather than dividing through roundoff.
+//! order. A caller may also name `late` node rows, which go after every
+//! other node row: the batched kernel puts the MOSFET terminal rows there
+//! so the leading pivots depend on the linear stamp alone. MNA node rows
+//! carry `gmin` on the diagonal and are near diagonally dominant, so no
+//! numeric pivoting is needed in practice; a pivot that still falls below
+//! the norm-relative threshold (the same `ε · ‖A‖_∞ · √n` rule as the
+//! dense solver) reports [`SpiceError::SingularMatrix`] rather than
+//! dividing through roundoff.
 //!
 //! # Examples
 //!
@@ -46,7 +49,7 @@
 //!
 //! // 2x2 pattern with every position present; no tail rows.
 //! let pattern = [(0, 0), (0, 1), (1, 0), (1, 1)];
-//! let sym = Arc::new(Symbolic::analyze(2, &pattern, 0));
+//! let sym = Arc::new(Symbolic::analyze(2, &pattern, 0, &[]));
 //! let mut m = SparseMatrix::new(sym);
 //! m.add(0, 0, 2.0);
 //! m.add(0, 1, 1.0);
@@ -125,6 +128,10 @@ pub struct Symbolic {
     /// sweeps; the pattern is audited once, at analysis time.
     pub(crate) upd_start: Vec<usize>,
     pub(crate) upd_targets: Vec<u32>,
+    /// Pivots ahead of the first `late` row (`n` when there is none):
+    /// rows and columns `0..lead` hold no value a `late`-row device
+    /// stamps, so their elimination depends on the linear stamp alone.
+    pub(crate) lead: usize,
     /// Nonzeros of the symmetrised stamp pattern (before fill).
     nnz_pattern: usize,
 }
@@ -140,15 +147,35 @@ impl Symbolic {
     /// diagonal is structurally zero until elimination of their terminal
     /// node rows fills it in, so they must never be pivoted early.
     ///
+    /// The `late` head rows (duplicates allowed) are ordered after every
+    /// other head row and before the tail: the minimum-degree key is
+    /// `(late, degree, index)`. The batched kernel passes the rows its
+    /// nonlinear devices touch, so the pivots `0..lead` never see an
+    /// iterate-dependent value and their elimination can be reused across
+    /// Newton iterations. An empty `late` set (every scalar caller) leaves
+    /// the ordering exactly as without it.
+    ///
     /// # Panics
     ///
-    /// Panics if `n_tail > n` or any pattern index is out of bounds.
-    pub fn analyze(n: usize, pattern: &[(usize, usize)], n_tail: usize) -> Symbolic {
+    /// Panics if `n_tail > n`, any pattern index is out of bounds, or a
+    /// `late` row is not a head row.
+    pub fn analyze(
+        n: usize,
+        pattern: &[(usize, usize)],
+        n_tail: usize,
+        late: &[usize],
+    ) -> Symbolic {
         assert!(n_tail <= n, "n_tail exceeds dimension");
         for &(r, c) in pattern {
             assert!(r < n && c < n, "pattern index ({r},{c}) out of bounds");
         }
         let head = n - n_tail;
+        let mut is_late = vec![false; head];
+        for &r in late {
+            assert!(r < head, "late row {r} is not a head row");
+            is_late[r] = true;
+        }
+        let n_late = is_late.iter().filter(|&&l| l).count();
 
         // Symmetrised adjacency (no self loops).
         let mut adj: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); n];
@@ -162,19 +189,24 @@ impl Symbolic {
 
         // Minimum-degree ordering over the head rows; elimination of a row
         // cliques its remaining neighbours, mirroring the fill the numeric
-        // factorisation will create.
+        // factorisation will create. The priority queue holds every
+        // uneliminated head row under its `(late, degree, index)` key, so
+        // its first entry is exactly the row a linear scan for the minimum
+        // key would pick; only the eliminated row's neighbours change
+        // degree, so only their keys are re-filed.
         let mut md = adj.clone();
         let mut eliminated = vec![false; n];
         let mut perm = Vec::with_capacity(n);
-        for _ in 0..head {
-            let v = (0..head)
-                .filter(|&v| !eliminated[v])
-                .min_by_key(|&v| (md[v].len(), v))
-                .expect("head row available");
+        let key = |md: &[BTreeSet<usize>], v: usize| (is_late[v], md[v].len(), v);
+        let mut queue: BTreeSet<(bool, usize, usize)> = (0..head).map(|v| key(&md, v)).collect();
+        while let Some((_, _, v)) = queue.pop_first() {
             eliminated[v] = true;
             perm.push(v);
             let neighbours: Vec<usize> =
                 md[v].iter().copied().filter(|&u| !eliminated[u]).collect();
+            for &a in neighbours.iter().filter(|&&a| a < head) {
+                queue.remove(&key(&md, a));
+            }
             for &a in &neighbours {
                 md[a].remove(&v);
                 for &b in &neighbours {
@@ -182,6 +214,9 @@ impl Symbolic {
                         md[a].insert(b);
                     }
                 }
+            }
+            for &a in neighbours.iter().filter(|&&a| a < head) {
+                queue.insert(key(&md, a));
             }
         }
         perm.extend(head..n);
@@ -288,6 +323,7 @@ impl Symbolic {
             col_slots,
             upd_start,
             upd_targets,
+            lead: if n_late == 0 { n } else { head - n_late },
             nnz_pattern,
         };
         debug_assert!(sym.audit_update_targets(), "elimination schedule drift");
@@ -478,7 +514,7 @@ impl SparseMatrix {
     /// Returns [`SpiceError::SingularMatrix`] on a sub-threshold pivot.
     ///
     /// The lane-vectorised batch kernel performs this sweep over eight
-    /// interleaved planes at once (`batch::lane_factor`); this scalar
+    /// interleaved planes at once (`batch::lane_eliminate`); this scalar
     /// split is kept as the reference the bit-identity pinning tests
     /// check the fused solve against.
     #[cfg_attr(not(test), allow(dead_code))]
@@ -699,9 +735,9 @@ impl SparseMatrix {
     }
 }
 
-/// Cache key: the full canonical structure, so equal keys really are equal
-/// topologies (no hash-collision risk).
-type CacheKey = (usize, usize, Vec<(u32, u32)>);
+/// Cache key: the full canonical structure plus the sorted `late` set, so
+/// equal keys really are equal analyses (no hash-collision risk).
+type CacheKey = (usize, usize, Vec<(u32, u32)>, Vec<u32>);
 
 /// Thread-safe cache of [`Symbolic`] structures keyed by topology.
 ///
@@ -725,18 +761,25 @@ impl SymbolicCache {
         SymbolicCache::default()
     }
 
-    /// Returns the cached structure for `(n, pattern, n_tail)`, analysing
-    /// and inserting it on first sight. The boolean is `true` on a hit.
+    /// Returns the cached structure for `(n, pattern, n_tail, late)` (see
+    /// [`Symbolic::analyze`]), analysing and inserting it on first sight.
+    /// The same pattern with a different `late` set is a different entry.
+    /// The boolean is `true` on a hit.
     pub fn get_or_analyze(
         &self,
         n: usize,
         pattern: &[(usize, usize)],
         n_tail: usize,
+        late: &[usize],
     ) -> (Arc<Symbolic>, bool) {
+        let mut late_key: Vec<u32> = late.iter().map(|&r| r as u32).collect();
+        late_key.sort_unstable();
+        late_key.dedup();
         let key: CacheKey = (
             n,
             n_tail,
             pattern.iter().map(|&(r, c)| (r as u32, c as u32)).collect(),
+            late_key,
         );
         let tm = crate::metrics::metrics();
         {
@@ -749,7 +792,7 @@ impl SymbolicCache {
         }
         // Analyse outside the lock; a racing analysis of the same topology
         // wastes work but stays correct (first insert wins).
-        let sym = Arc::new(Symbolic::analyze(n, pattern, n_tail));
+        let sym = Arc::new(Symbolic::analyze(n, pattern, n_tail, late));
         self.misses.fetch_add(1, Ordering::Relaxed);
         tm.symbolic_cache_misses.incr();
         let mut map = self.map.lock().expect("cache lock");
@@ -788,7 +831,7 @@ mod tests {
     #[test]
     fn identity_solve() {
         let pattern: Vec<(usize, usize)> = (0..3).map(|i| (i, i)).collect();
-        let sym = Arc::new(Symbolic::analyze(3, &pattern, 0));
+        let sym = Arc::new(Symbolic::analyze(3, &pattern, 0, &[]));
         assert_eq!(sym.fill_in(), 0);
         let mut m = SparseMatrix::new(sym);
         for i in 0..3 {
@@ -809,7 +852,7 @@ mod tests {
                 pattern.push((i + 1, i));
             }
         }
-        let sym = Arc::new(Symbolic::analyze(n, &pattern, 0));
+        let sym = Arc::new(Symbolic::analyze(n, &pattern, 0, &[]));
         // A chain ordered by minimum degree generates no fill.
         assert_eq!(sym.fill_in(), 0);
         let mut sp = SparseMatrix::new(Arc::clone(&sym));
@@ -839,7 +882,7 @@ mod tests {
         // static order that pivots row 1 first would divide by zero; the
         // tail constraint defers it until fill arrives.
         let pattern = [(0, 0), (0, 1), (1, 0)];
-        let sym = Arc::new(Symbolic::analyze(2, &pattern, 1));
+        let sym = Arc::new(Symbolic::analyze(2, &pattern, 1, &[]));
         let mut m = SparseMatrix::new(sym);
         // [g 1; 1 0] x = [0; v]  -> x = [v, -g v]
         m.add(0, 0, 1e-3);
@@ -854,7 +897,7 @@ mod tests {
     fn scaled_down_singular_is_reported() {
         // Same regression as the dense solver: rank-1 at ~1e-6 S scale
         // must be caught by the norm-relative pivot threshold.
-        let sym = Arc::new(Symbolic::analyze(2, &full_pattern(2), 0));
+        let sym = Arc::new(Symbolic::analyze(2, &full_pattern(2), 0, &[]));
         let mut m = SparseMatrix::new(sym);
         m.set(0, 0, 1.1e-6);
         m.set(0, 1, 0.7e-6);
@@ -890,7 +933,7 @@ mod tests {
                 }
             }
         }
-        let sym = Arc::new(Symbolic::analyze(n, &pattern, 0));
+        let sym = Arc::new(Symbolic::analyze(n, &pattern, 0, &[]));
         let mut sp = SparseMatrix::new(Arc::clone(&sym));
         let mut de = DenseMatrix::new(n);
         for i in 0..n {
@@ -933,7 +976,7 @@ mod tests {
                 }
             }
         }
-        let sym = Arc::new(Symbolic::analyze(n, &pattern, 0));
+        let sym = Arc::new(Symbolic::analyze(n, &pattern, 0, &[]));
         let mut fused = SparseMatrix::new(Arc::clone(&sym));
         let mut split = SparseMatrix::new(Arc::clone(&sym));
         for i in 0..n {
@@ -971,7 +1014,7 @@ mod tests {
 
     #[test]
     fn add_outside_pattern_panics() {
-        let sym = Arc::new(Symbolic::analyze(3, &[(0, 0), (1, 1), (2, 2)], 0));
+        let sym = Arc::new(Symbolic::analyze(3, &[(0, 0), (1, 1), (2, 2)], 0, &[]));
         let mut m = SparseMatrix::new(sym);
         let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             m.add(0, 2, 1.0);
@@ -981,7 +1024,7 @@ mod tests {
 
     #[test]
     fn clear_resets_values_and_reuse_flag_persists() {
-        let sym = Arc::new(Symbolic::analyze(2, &full_pattern(2), 0));
+        let sym = Arc::new(Symbolic::analyze(2, &full_pattern(2), 0, &[]));
         let mut m = SparseMatrix::new(sym);
         m.add(0, 0, 5.0);
         m.clear();
@@ -993,15 +1036,177 @@ mod tests {
     fn cache_hits_and_misses() {
         let cache = SymbolicCache::new();
         let pattern = full_pattern(3);
-        let (a, hit_a) = cache.get_or_analyze(3, &pattern, 0);
-        let (b, hit_b) = cache.get_or_analyze(3, &pattern, 0);
+        let (a, hit_a) = cache.get_or_analyze(3, &pattern, 0, &[]);
+        let (b, hit_b) = cache.get_or_analyze(3, &pattern, 0, &[]);
         assert!(!hit_a);
         assert!(hit_b);
         assert!(Arc::ptr_eq(&a, &b));
-        let (_, hit_c) = cache.get_or_analyze(3, &pattern, 1);
+        let (_, hit_c) = cache.get_or_analyze(3, &pattern, 1, &[]);
         assert!(!hit_c, "different tail split is a different key");
-        assert_eq!(cache.stats(), (1, 2));
-        assert_eq!(cache.len(), 2);
+        let (late, hit_d) = cache.get_or_analyze(3, &pattern, 0, &[1]);
+        assert!(!hit_d, "a late set is a different key");
+        assert!(!Arc::ptr_eq(&a, &late));
+        let (again, hit_e) = cache.get_or_analyze(3, &pattern, 0, &[1, 1]);
+        assert!(hit_e, "the late set is keyed as a set");
+        assert!(Arc::ptr_eq(&late, &again));
+        assert_eq!(cache.stats(), (2, 3));
+        assert_eq!(cache.len(), 3);
+    }
+
+    /// The minimum-degree selection as a linear scan for the smallest
+    /// `(late, degree, index)` key: the reference the priority queue in
+    /// [`Symbolic::analyze`] must reproduce exactly.
+    fn scan_perm(
+        n: usize,
+        pattern: &[(usize, usize)],
+        n_tail: usize,
+        late: &[usize],
+    ) -> Vec<usize> {
+        let head = n - n_tail;
+        let mut md: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); n];
+        for &(r, c) in pattern {
+            if r != c {
+                md[r].insert(c);
+                md[c].insert(r);
+            }
+        }
+        let mut eliminated = vec![false; n];
+        let mut perm = Vec::with_capacity(n);
+        for _ in 0..head {
+            let v = (0..head)
+                .filter(|&v| !eliminated[v])
+                .min_by_key(|&v| (late.contains(&v), md[v].len(), v))
+                .unwrap();
+            eliminated[v] = true;
+            perm.push(v);
+            let neighbours: Vec<usize> =
+                md[v].iter().copied().filter(|&u| !eliminated[u]).collect();
+            for &a in &neighbours {
+                md[a].remove(&v);
+                for &b in &neighbours {
+                    if b != a {
+                        md[a].insert(b);
+                    }
+                }
+            }
+        }
+        perm.extend(head..n);
+        perm
+    }
+
+    #[test]
+    fn priority_queue_ordering_matches_the_linear_scan_on_random_patterns() {
+        let mut seed = 0x243f6a8885a308d3u64;
+        let mut next = move |m: usize| {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            (seed % m as u64) as usize
+        };
+        for case in 0..40 {
+            let n = 5 + next(60);
+            let n_tail = next(n.min(6));
+            let mut pattern: Vec<(usize, usize)> = (0..n).map(|i| (i, i)).collect();
+            // Sparse enough for many degree ties, dense enough for fill.
+            for _ in 0..n * (1 + case % 4) {
+                pattern.push((next(n), next(n)));
+            }
+            let late: Vec<usize> = if case % 2 == 0 {
+                Vec::new()
+            } else {
+                (0..1 + next(n - n_tail))
+                    .map(|_| next(n - n_tail))
+                    .collect()
+            };
+            let sym = Symbolic::analyze(n, &pattern, n_tail, &late);
+            assert_eq!(
+                sym.perm,
+                scan_perm(n, &pattern, n_tail, &late),
+                "case {case}: n={n} tail={n_tail} late={late:?}"
+            );
+        }
+    }
+
+    /// The paper's sensor test bench and the benchmark's 32x32 mesh deck
+    /// with six sensors, as MNA systems.
+    fn sensor_and_mesh() -> Vec<(&'static str, crate::engine::MnaSystem)> {
+        use clocksense_core::{ClockPair, SensorBuilder, Technology};
+        use clocksense_scenarios::MeshSpec;
+        let tech = Technology::cmos12();
+        let sensor = SensorBuilder::new(tech).build().unwrap();
+        let bench = sensor
+            .testbench(&ClockPair::single_shot(tech.vdd, 0.2e-9))
+            .unwrap();
+        let mesh = MeshSpec {
+            sensors: 6,
+            ..MeshSpec::new(32, 32)
+        }
+        .build()
+        .unwrap();
+        vec![
+            ("sensor", crate::engine::MnaSystem::build(&bench).unwrap()),
+            (
+                "mesh",
+                crate::engine::MnaSystem::build(&mesh.circuit).unwrap(),
+            ),
+        ]
+    }
+
+    #[test]
+    fn priority_queue_ordering_matches_the_linear_scan_on_sensor_and_mesh() {
+        for (name, sys) in sensor_and_mesh() {
+            let pattern = sys.stamp_pattern();
+            let n_tail = sys.vsources.len();
+            for late in [Vec::new(), sys.nonlinear_rows()] {
+                let sym = Symbolic::analyze(sys.dim, &pattern, n_tail, &late);
+                assert_eq!(
+                    sym.perm,
+                    scan_perm(sys.dim, &pattern, n_tail, &late),
+                    "{name}, {} late rows",
+                    late.len()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn mosfet_rows_come_after_every_other_head_row_and_before_the_tail() {
+        for (name, sys) in sensor_and_mesh() {
+            let late = sys.nonlinear_rows();
+            assert!(!late.is_empty(), "{name} has MOSFETs");
+            let head = sys.dim - sys.vsources.len();
+            let sym = Symbolic::analyze(sys.dim, &sys.stamp_pattern(), sys.vsources.len(), &late);
+            assert!(sym.lead < head, "{name}: late rows are head rows");
+            for (pos, &row) in sym.perm.iter().enumerate() {
+                let expect = if row >= head {
+                    pos >= head
+                } else if late.contains(&row) {
+                    (sym.lead..head).contains(&pos)
+                } else {
+                    pos < sym.lead
+                };
+                assert!(
+                    expect,
+                    "{name}: row {row} eliminated at {pos}, lead {}",
+                    sym.lead
+                );
+            }
+            assert_eq!(&sym.perm[head..], &(head..sys.dim).collect::<Vec<_>>()[..]);
+            // Every MOSFET stamp lands in the trailing window.
+            let tail_off = sym.row_start[sym.lead];
+            let plan = sys.build_plan(&mut |r, c| sym.slot(r, c).unwrap());
+            for m in &plan.mos {
+                for slot in [m.dd, m.dg, m.ds, m.sd, m.sg, m.ss].into_iter().flatten() {
+                    assert!(
+                        slot >= tail_off,
+                        "{name}: MOSFET slot {slot} before {tail_off}"
+                    );
+                }
+            }
+            // Without a late set the ordering is the scalar one.
+            let scalar = Symbolic::analyze(sys.dim, &sys.stamp_pattern(), sys.vsources.len(), &[]);
+            assert_eq!(scalar.lead, sys.dim);
+        }
     }
 
     #[test]
@@ -1015,7 +1220,7 @@ mod tests {
             pattern.push((0, leaf));
             pattern.push((leaf, 0));
         }
-        let sym = Symbolic::analyze(n, &pattern, 0);
+        let sym = Symbolic::analyze(n, &pattern, 0, &[]);
         assert_eq!(sym.fill_in(), 0, "min-degree must not fill a star");
     }
 }

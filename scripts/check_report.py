@@ -25,15 +25,19 @@ emit a well-formed report, whatever its numbers are. Checks:
     materialise lazily, so a clean run normally has none at all);
   * optionally (--batch) the batched-kernel accounting is coherent: the
     kernel actually ran (batch.batches_run >= 1), it kept variants
-    active (batch.occupancy_active >= 1), and the batched/scalar
-    campaign comparison covered at least one fault with zero verdict
-    mismatches;
+    active (batch.occupancy_active >= 1), the per-reason fallback
+    counters (batch.fallback_*) sum to batch.variants_scalar_fallback,
+    and the batched/scalar campaign comparison covered at least one
+    fault with zero verdict mismatches;
   * optionally (--expect-zero-batch) the run never touched the batched
     kernel: no batch.* counter recorded a nonzero value (the scope
     materialises lazily, so a scalar run normally has none at all);
   * optionally (--lanes) the lane-block accounting of the SoA kernel is
-    coherent: blocks were packed and factor sweeps ran, every scheduled
-    lane slot is accounted for exactly once
+    coherent: blocks were packed and factor sweeps ran, the leading-block
+    eliminations (once per step size and block) never outnumber the
+    sweeps (batch.lead_factor_sweeps <= batch.lane_factor_sweeps, when
+    the report has the counter), every
+    scheduled lane slot is accounted for exactly once
     (active + parked + padding == scheduled), and at least half the
     scheduled slots carried live variants (an occupancy floor — a
     kernel marching mostly padding or parked lanes is vectorising
@@ -85,6 +89,14 @@ import math
 import sys
 
 SCHEMA = "clocksense-telemetry/v1"
+
+FALLBACK_REASONS = (
+    "batch.fallback_unaligned",
+    "batch.fallback_dense",
+    "batch.fallback_adaptive",
+    "batch.fallback_dropout",
+    "batch.fallback_singleton",
+)
 
 TRAN_COUNTERS = (
     "tran.steps_accepted",
@@ -305,6 +317,13 @@ def main() -> None:
                 "batch.occupancy_active must be >= 1: every variant fell "
                 "out of every batch"
             )
+        reasons = sum(counters.get(name, 0) for name in FALLBACK_REASONS)
+        total = counters.get("batch.variants_scalar_fallback", 0)
+        if reasons != total:
+            fail(
+                f"fallback accounting leaks: batch.fallback_* sum to {reasons}, "
+                f"batch.variants_scalar_fallback is {total}"
+            )
         if counters["batch_scaling.verdicts_total"] < 1:
             fail("batch_scaling.verdicts_total must be >= 1: no faults compared")
         mismatches = counters["batch_scaling.verdict_mismatches"]
@@ -332,6 +351,15 @@ def main() -> None:
             fail(
                 "batch.lane_factor_sweeps must be >= 1: the lane kernel "
                 "never swept a factorisation"
+            )
+        # Reports archived before the leading-block split lack the
+        # counter; fresh runs require it with --expect-counter.
+        lead = counters.get("batch.lead_factor_sweeps", 0)
+        if lead > counters["batch.lane_factor_sweeps"]:
+            fail(
+                f"batch.lead_factor_sweeps ({lead}) > batch.lane_factor_sweeps "
+                f"({counters['batch.lane_factor_sweeps']}): the leading block "
+                "was re-eliminated more often than the kernel swept"
             )
         scheduled = counters["batch.lane_slots_scheduled"]
         active = counters["batch.lane_slots_active"]

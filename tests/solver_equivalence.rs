@@ -121,7 +121,7 @@ fn stamp_both(spec: &SystemSpec) -> (DenseMatrix, SparseMatrix) {
     }
     pattern.sort_unstable();
     pattern.dedup();
-    let sym = Arc::new(Symbolic::analyze(spec.n, &pattern, 0));
+    let sym = Arc::new(Symbolic::analyze(spec.n, &pattern, 0, &[]));
     let mut dense = DenseMatrix::new(spec.n);
     let mut sparse = SparseMatrix::new(sym);
     // Conductance-style stamp: -g off-diagonal, +g on both diagonals,
@@ -303,7 +303,7 @@ fn sensor_transient_agrees_between_dense_and_sparse() {
 #[test]
 fn sparse_rejects_scaled_down_rank_deficient_systems() {
     let pattern = [(0, 0), (0, 1), (1, 0), (1, 1)];
-    let sym = Arc::new(Symbolic::analyze(2, &pattern, 0));
+    let sym = Arc::new(Symbolic::analyze(2, &pattern, 0, &[]));
     let mut m = SparseMatrix::new(sym);
     m.set(0, 0, 1.1e-6);
     m.set(0, 1, 0.7e-6);
