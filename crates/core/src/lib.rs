@@ -53,7 +53,7 @@ mod tech;
 
 pub use characterize::{characterize, SensorCharacter};
 pub use error::CoreError;
-pub use response::{interpret, SensorResponse, SkewVerdict};
+pub use response::{interpret, observation_end, SensorResponse, SkewVerdict};
 pub use sensitivity::{
     find_tau_min, size_for_tolerance, sweep_vmin, threshold_for_tolerance, SkewSample,
 };

@@ -100,6 +100,17 @@ fn windows(clocks: &ClockPair, edge: ClockEdge) -> (f64, f64, f64) {
     }
 }
 
+/// Last instant [`interpret`] reads for `clocks` and `edge`: the later of
+/// the observation-window end and the strobe. Nothing after it changes a
+/// [`SensorResponse`]'s extremes or verdict, so a transient stopped at
+/// its first time point past this instant
+/// ([`clocksense_spice::transient_observed`]) interprets bit-identically
+/// to the full-length run.
+pub fn observation_end(clocks: &ClockPair, edge: ClockEdge) -> f64 {
+    let (_, end, strobe) = windows(clocks, edge);
+    end.max(strobe)
+}
+
 /// Interprets a pair of output waveforms against the logic threshold:
 /// extracts the window extremes and classifies the strobe levels into a
 /// [`SkewVerdict`]. This is what [`SensingCircuit::simulate`] applies to
@@ -206,6 +217,17 @@ mod tests {
         assert!(!SkewVerdict::NoError.is_error());
         assert!(SkewVerdict::Invalid.is_error());
         assert_eq!(SkewVerdict::Phi1Late.to_string(), "phi1 late");
+    }
+
+    #[test]
+    fn observation_end_covers_window_and_strobe() {
+        let c = clocks().with_skew(0.1e-9);
+        for edge in [ClockEdge::Rising, ClockEdge::Falling] {
+            let (w0, w1, strobe) = windows(&c, edge);
+            let end = observation_end(&c, edge);
+            assert!(end >= w1 && end >= strobe && w0 < end);
+            assert!(end < c.sim_stop_time(), "{edge:?} horizon must cut");
+        }
     }
 
     #[test]

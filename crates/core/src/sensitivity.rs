@@ -1,4 +1,10 @@
 //! Sensitivity analysis: V_min vs τ sweeps and τ_min extraction (Fig. 4).
+//!
+//! Every search here reads only V_min and the strobe verdict, so each
+//! point simulates up to the observation horizon
+//! ([`observation_end`](crate::observation_end)) instead of the full
+//! [`ClockPair::sim_stop_time`]; the numbers are bit-identical to a
+//! full-length [`SensingCircuit::simulate`].
 
 use clocksense_spice::SimOptions;
 
@@ -53,7 +59,7 @@ pub fn sweep_vmin(
     let v_th = sensor.technology().logic_threshold();
     let mut out = Vec::with_capacity(taus.len());
     for &tau in taus {
-        let response = sensor.simulate(&clocks.with_skew(tau), opts)?;
+        let response = sensor.observe(&clocks.with_skew(tau), opts)?;
         let vmin = response.vmin_late(tau);
         out.push(SkewSample {
             tau,
@@ -93,7 +99,7 @@ pub fn find_tau_min(
         )));
     }
     let detected = |tau: f64| -> Result<bool, CoreError> {
-        let response = sensor.simulate(&clocks.with_skew(tau), opts)?;
+        let response = sensor.observe(&clocks.with_skew(tau), opts)?;
         Ok(response.verdict.is_error())
     };
     if !detected(tau_hi)? {
@@ -155,7 +161,7 @@ pub fn threshold_for_tolerance(
             "target_tau must be positive, got {target_tau}"
         )));
     }
-    let response = sensor.simulate(&clocks.with_skew(target_tau), opts)?;
+    let response = sensor.observe(&clocks.with_skew(target_tau), opts)?;
     let v_th = response.vmin_late(target_tau);
     let vdd = sensor.technology().vdd;
     if !(0.35 * vdd..=0.9 * vdd).contains(&v_th) {

@@ -1,10 +1,10 @@
 //! Construction of the sensing circuit (paper Fig. 1) and its test bench.
 
 use clocksense_netlist::{Circuit, DeviceId, MosPolarity, NodeId, SourceWave, GROUND};
-use clocksense_spice::{transient, SimOptions};
+use clocksense_spice::{transient_observed, SimOptions, SymbolicCache};
 
 use crate::error::CoreError;
-use crate::response::{interpret, SensorResponse};
+use crate::response::{interpret, observation_end, SensorResponse};
 use crate::stimulus::ClockPair;
 use crate::tech::Technology;
 
@@ -556,8 +556,36 @@ impl SensingCircuit {
         clocks: &ClockPair,
         opts: &SimOptions,
     ) -> Result<SensorResponse, CoreError> {
+        self.simulate_until(clocks, opts, clocks.sim_stop_time())
+    }
+
+    /// [`simulate`](Self::simulate) stopped at the observation horizon
+    /// ([`observation_end`]): the extremes and the verdict are
+    /// bit-identical, but the waveforms end just past the window, so
+    /// neither the falling edges nor the recovery are in them. For
+    /// callers that read only V_min and the verdict.
+    pub(crate) fn observe(
+        &self,
+        clocks: &ClockPair,
+        opts: &SimOptions,
+    ) -> Result<SensorResponse, CoreError> {
+        self.simulate_until(clocks, opts, observation_end(clocks, self.edge))
+    }
+
+    fn simulate_until(
+        &self,
+        clocks: &ClockPair,
+        opts: &SimOptions,
+        t_observe: f64,
+    ) -> Result<SensorResponse, CoreError> {
         let bench = self.testbench(clocks)?;
-        let result = transient(&bench, clocks.sim_stop_time(), opts)?;
+        let result = transient_observed(
+            &bench,
+            clocks.sim_stop_time(),
+            t_observe,
+            opts,
+            &SymbolicCache::new(),
+        )?;
         let (y1, y2) = self.outputs();
         Ok(interpret(
             result.waveform(y1),
@@ -669,6 +697,33 @@ mod tests {
             .simulate(&clocks.with_skew(-0.6e-9), &SimOptions::default())
             .unwrap();
         assert_eq!(r.verdict, SkewVerdict::Phi1Late);
+    }
+
+    #[test]
+    fn observe_matches_simulate_bit_for_bit() {
+        let opts = SimOptions::pipeline();
+        for edge in [ClockEdge::Rising, ClockEdge::Falling] {
+            let s = SensorBuilder::new(Technology::cmos12())
+                .load_capacitance(160e-15)
+                .edge(edge)
+                .build()
+                .unwrap();
+            for tau in [0.0, 0.08e-9, -0.3e-9] {
+                let clocks = ClockPair::single_shot(5.0, 0.2e-9).with_skew(tau);
+                let full = s.simulate(&clocks, &opts).unwrap();
+                let cut = s.observe(&clocks, &opts).unwrap();
+                assert_eq!(cut.verdict, full.verdict);
+                for (a, b) in [
+                    (cut.vmin_y1, full.vmin_y1),
+                    (cut.vmin_y2, full.vmin_y2),
+                    (cut.vmax_y1, full.vmax_y1),
+                    (cut.vmax_y2, full.vmax_y2),
+                ] {
+                    assert_eq!(a.to_bits(), b.to_bits(), "{edge:?} tau {tau}");
+                }
+                assert!(cut.y1.t_end() < full.y1.t_end());
+            }
+        }
     }
 
     #[test]

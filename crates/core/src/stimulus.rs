@@ -177,6 +177,23 @@ impl ClockPair {
     /// A sensible simulation stop time: covers the full pulse plus the
     /// post-edge recovery (and, for the falling-edge dual, the slow rise
     /// through the series pull-up stack).
+    ///
+    /// Full-length waveforms — [`SensingCircuit::simulate`], which the
+    /// Fig. 2/3 plots and [`characterize`]'s recovery measurement read —
+    /// run to this time. Callers that read only V_min and the verdict
+    /// plan the same run but stop it at
+    /// [`observation_end`](crate::observation_end) through
+    /// [`transient_observed`](clocksense_spice::transient_observed):
+    /// [`sweep_vmin`], [`find_tau_min`], [`threshold_for_tolerance`] (and
+    /// so [`size_for_tolerance`]) and the Monte-Carlo scatter's scalar
+    /// samples.
+    ///
+    /// [`SensingCircuit::simulate`]: crate::SensingCircuit::simulate
+    /// [`characterize`]: crate::characterize
+    /// [`sweep_vmin`]: crate::sweep_vmin
+    /// [`find_tau_min`]: crate::find_tau_min
+    /// [`threshold_for_tolerance`]: crate::threshold_for_tolerance
+    /// [`size_for_tolerance`]: crate::size_for_tolerance
     pub fn sim_stop_time(&self) -> f64 {
         self.delay + self.skew.abs() + 2.0 * self.slew + 2.5 * self.width
     }

@@ -3,12 +3,12 @@
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
-use clocksense_core::{ClockPair, CoreError, SensingCircuit, SensorBuilder};
+use clocksense_core::{observation_end, ClockPair, CoreError, SensingCircuit, SensorBuilder};
 use clocksense_exec::Executor;
 use clocksense_faults::checkpoint::{parse_f64_bits, sim_options_fingerprint, Journal, TAG_MC};
 use clocksense_netlist::{canonical_form, f64_bits, fnv1a, Circuit, FNV_OFFSET};
 use clocksense_spice::{
-    transient_batch, transient_cached, SimOptions, SolverKind, SymbolicCache, TranResult,
+    transient_batch, transient_observed, SimOptions, SolverKind, SymbolicCache, TranResult,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -152,7 +152,15 @@ fn one_sample(
     cache: &SymbolicCache,
 ) -> Result<McSample, CoreError> {
     let (bench, p) = prepare_sample(builder, clocks, tau, cfg, index)?;
-    let result = transient_cached(&bench, p.clocks.sim_stop_time(), &cfg.sim, cache)?;
+    // Classification reads nothing past the observation window: stop the
+    // full-length run there (a bit-identical prefix of it).
+    let result = transient_observed(
+        &bench,
+        p.clocks.sim_stop_time(),
+        observation_end(&p.clocks, p.sensor.edge()),
+        &cfg.sim,
+        cache,
+    )?;
     Ok(classify_sample(&p, &result))
 }
 
@@ -204,6 +212,11 @@ fn chunk_of_samples(
 /// Runs the Fig. 5 scatter: `cfg.samples` perturbed circuits, each
 /// simulated at one skew from `taus` (cycled in order, so every skew value
 /// receives an equal share of samples).
+///
+/// Each scalar sample (every sample unless `batch >= 2` on the sparse
+/// solver) plans its transient to `sim_stop_time` but stops it at the
+/// sensor's [`observation_end`], the last instant the classification
+/// reads; its observation is bit-identical to the full-length run's.
 ///
 /// # Errors
 ///
@@ -535,6 +548,37 @@ mod tests {
             } else {
                 assert!(s.detected, "0.3 ns skew lost: {s:?}");
             }
+        }
+    }
+
+    #[test]
+    fn horizon_scatter_matches_full_length_transients_bit_for_bit() {
+        // The scalar scatter stops every transient at the observation
+        // horizon; classifying the full-length run to `sim_stop_time`
+        // must give the same bits on every sample.
+        let tech = Technology::cmos12();
+        let builder = SensorBuilder::new(tech).load_capacitance(160e-15);
+        let clocks = ClockPair::single_shot(tech.vdd, 0.2e-9);
+        let taus: Vec<f64> = (0..=8).map(|i| i as f64 * 0.03e-9).collect();
+        let cfg = McConfig {
+            samples: 18,
+            ..McConfig::default()
+        };
+        let scatter = run_scatter(&builder, &clocks, &taus, &cfg).unwrap();
+        let cache = SymbolicCache::new();
+        for (i, got) in scatter.iter().enumerate() {
+            let (bench, p) =
+                prepare_sample(&builder, &clocks, taus[i % 9], &cfg, i as u64).unwrap();
+            let full = clocksense_spice::transient_cached(
+                &bench,
+                p.clocks.sim_stop_time(),
+                &cfg.sim,
+                &cache,
+            )
+            .unwrap();
+            let want = classify_sample(&p, &full);
+            assert_eq!(got.vmin.to_bits(), want.vmin.to_bits(), "sample {i}");
+            assert_eq!(*got, want, "sample {i}");
         }
     }
 

@@ -9,7 +9,8 @@
 //!   source stepping fallbacks.
 //! * [`transient`] — trapezoidal integration (backward-Euler start) with
 //!   Newton iteration per step, source-breakpoint alignment and step
-//!   halving on non-convergence.
+//!   halving on non-convergence; [`transient_observed`] stops the same
+//!   run at an observation horizon, returning a bit-identical prefix.
 //! * [`iddq`] — quiescent supply-current measurement, the detection
 //!   criterion the paper invokes for pull-up stuck-on and resistive
 //!   bridging faults.
@@ -58,4 +59,4 @@ pub use matrix::{DenseMatrix, LuScratch};
 pub use mos_eval::{channel_current, channel_current_lanes, MosOperatingPoint, MosRegion};
 pub use options::{IntegrationMethod, SimOptions, SolverKind, TimestepControl};
 pub use sparse::{SparseMatrix, Symbolic, SymbolicCache};
-pub use tran::{transient, transient_cached, TranResult};
+pub use tran::{transient, transient_cached, transient_observed, TranResult};

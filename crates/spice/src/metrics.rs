@@ -179,10 +179,38 @@ pub(crate) struct BatchMetrics {
     pub lead_factor_sweeps: Counter,
 }
 
+/// Counters of transients stopped at an observation horizon
+/// ([`transient_observed`](crate::transient_observed)), recorded under
+/// the `horizon.` scope.
+///
+/// Like [`TranMetrics`], the block is created lazily on the first cut: a
+/// run that never stops a transient before `t_stop` — every full-length
+/// caller, the fig3 golden among them — never materialises these
+/// counters, so its telemetry snapshot keeps its counter set.
+pub(crate) struct HorizonMetrics {
+    /// Transients that returned before `t_stop` because their last
+    /// recorded point reached the observation horizon.
+    pub cuts: Counter,
+    /// Simulated time those transients did not march: `t_stop` minus the
+    /// last recorded time, summed, in picoseconds.
+    pub skipped_ps: Counter,
+}
+
 static METRICS: OnceLock<SpiceMetrics> = OnceLock::new();
 static TRAN_METRICS: OnceLock<TranMetrics> = OnceLock::new();
 static RESCUE_METRICS: OnceLock<RescueMetrics> = OnceLock::new();
 static BATCH_METRICS: OnceLock<BatchMetrics> = OnceLock::new();
+static HORIZON_METRICS: OnceLock<HorizonMetrics> = OnceLock::new();
+
+pub(crate) fn horizon_metrics() -> &'static HorizonMetrics {
+    HORIZON_METRICS.get_or_init(|| {
+        let scope = clocksense_telemetry::global().scope("horizon");
+        HorizonMetrics {
+            cuts: scope.counter("cuts"),
+            skipped_ps: scope.counter("skipped_ps"),
+        }
+    })
+}
 
 pub(crate) fn batch_metrics() -> &'static BatchMetrics {
     BATCH_METRICS.get_or_init(|| {

@@ -375,7 +375,7 @@ pub fn transient(
     t_stop: f64,
     opts: &SimOptions,
 ) -> Result<TranResult, SpiceError> {
-    transient_with(circuit, t_stop, opts, None)
+    transient_observed(circuit, t_stop, t_stop, opts, &SymbolicCache::new())
 }
 
 /// [`transient`] with a shared [`SymbolicCache`]: when `opts.solver` is
@@ -391,35 +391,47 @@ pub fn transient_cached(
     opts: &SimOptions,
     cache: &SymbolicCache,
 ) -> Result<TranResult, SpiceError> {
-    transient_with(circuit, t_stop, opts, Some(cache))
+    transient_observed(circuit, t_stop, t_stop, opts, cache)
 }
 
-fn transient_with(
+/// [`transient_cached`] that stops at an observation horizon: the march
+/// returns as soon as its last *recorded* time point is at or past
+/// `min(t_observe, t_stop)`, for callers that read nothing later.
+///
+/// The run is planned exactly as the full run to `t_stop` — the same
+/// breakpoint list, the same `t_stop` clamp, the same step control — and
+/// nothing a step decides depends on a later step. The returned times
+/// and every node and branch sample are therefore a bit-identical prefix
+/// of the full run's, ending at its first time point `>= t_observe`
+/// (`t_observe >= t_stop` *is* the full run). Passing a shorter `t_stop`
+/// instead would clamp the last step and drop every later breakpoint,
+/// which moves the grid — and every sample on it — well before the stop.
+///
+/// # Errors
+///
+/// As [`transient`]; additionally rejects a NaN `t_observe`.
+pub fn transient_observed(
     circuit: &Circuit,
     t_stop: f64,
+    t_observe: f64,
     opts: &SimOptions,
-    cache: Option<&SymbolicCache>,
+    cache: &SymbolicCache,
 ) -> Result<TranResult, SpiceError> {
     opts.validate()?;
-    // Even without a caller-provided cache, the DC initial condition and
-    // the transient loop share one symbolic analysis of the topology.
-    let local_cache;
-    let cache = match cache {
-        Some(c) => Some(c),
-        None => {
-            local_cache = SymbolicCache::new();
-            Some(&local_cache)
-        }
-    };
     if !(t_stop.is_finite() && t_stop > 0.0) {
         return Err(SpiceError::InvalidOption(format!(
             "t_stop must be finite and positive, got {t_stop}"
         )));
     }
+    if t_observe.is_nan() {
+        return Err(SpiceError::InvalidOption(
+            "t_observe must not be NaN".to_string(),
+        ));
+    }
     let sys = MnaSystem::build(circuit)?;
 
     // Initial condition: DC operating point at t = 0.
-    let x0 = crate::dc::solve_with_continuation_pub(&sys, 0.0, opts, cache)?;
+    let x0 = crate::dc::solve_with_continuation_pub(&sys, 0.0, opts, Some(cache))?;
 
     // Collect and dedupe source breakpoints inside (0, t_stop].
     let mut breakpoints: Vec<f64> = Vec::new();
@@ -448,10 +460,11 @@ fn transient_with(
         times: vec![0.0],
         node_values: vec![Vec::new(); sys.n_nodes],
         branch_values: vec![Vec::new(); sys.vsources.len()],
+        horizon: t_observe.min(t_stop),
     };
     samples.record(&sys, &x0);
 
-    let mut ws = TranWorkspace::new(&sys, opts, cache);
+    let mut ws = TranWorkspace::new(&sys, opts, Some(cache));
     match opts.timestep {
         TimestepControl::Fixed => march_fixed(
             &sys,
@@ -477,6 +490,13 @@ fn transient_with(
         )?,
     }
 
+    let t_end = samples.times[samples.times.len() - 1];
+    if t_end < t_stop && samples.observed() {
+        let hm = crate::metrics::horizon_metrics();
+        hm.cuts.incr();
+        hm.skipped_ps.add(((t_stop - t_end) * 1e12).round() as u64);
+    }
+
     Ok(TranResult {
         times: samples.times.into(),
         node_values: samples.node_values,
@@ -491,6 +511,9 @@ struct Samples {
     times: Vec<f64>,
     node_values: Vec<Vec<f64>>,
     branch_values: Vec<Vec<f64>>,
+    /// Observation horizon, `min(t_observe, t_stop)`: the marchers stop
+    /// once a recorded point reaches it.
+    horizon: f64,
 }
 
 impl Samples {
@@ -508,10 +531,18 @@ impl Samples {
         self.times.push(t);
         self.record(sys, x);
     }
+
+    /// `true` once the last *recorded* time is at or past the horizon.
+    /// Tested on the record, not on the march time: an accepted sliver
+    /// advances the march without recording a point.
+    fn observed(&self) -> bool {
+        self.times[self.times.len() - 1] >= self.horizon
+    }
 }
 
 /// The fixed-step reference marcher: `tstep`-sized windows, halving only
-/// on non-convergence. Bit-identical to every archived golden.
+/// on non-convergence. Bit-identical to every archived golden. Returns
+/// at the first recorded point at or past the horizon of `samples`.
 #[allow(clippy::too_many_arguments)]
 fn march_fixed(
     sys: &MnaSystem,
@@ -529,7 +560,7 @@ fn march_fixed(
     let mut force_be = true;
     let tm = crate::metrics::metrics();
 
-    while t < t_stop - opts.tstep_min {
+    while t < t_stop - opts.tstep_min && !samples.observed() {
         if let Some(deadline) = &opts.deadline {
             if deadline.expired() {
                 crate::metrics::rescue_metrics().deadline_expirations.incr();
@@ -557,7 +588,7 @@ fn march_fixed(
         let mut window_be = false;
         let mut sub_t = t;
         let mut remaining = t_next - t;
-        while remaining > 0.5 * opts.tstep_min {
+        while remaining > 0.5 * opts.tstep_min && !samples.observed() {
             let mut h = remaining;
             loop {
                 let be = force_be || window_be || opts.method == IntegrationMethod::BackwardEuler;
@@ -737,6 +768,7 @@ impl History {
 /// whose estimate overshoots the target are rejected and retried smaller,
 /// source breakpoints clamp the step end so edges are never stepped over,
 /// and each Newton solve warm-starts from a polynomial predictor.
+/// Returns at the first recorded point at or past the horizon of `samples`.
 #[allow(clippy::too_many_arguments)]
 fn march_adaptive(
     sys: &MnaSystem,
@@ -769,7 +801,7 @@ fn march_adaptive(
     let tm = crate::metrics::metrics();
     let tmt = crate::metrics::tran_metrics();
 
-    while t < t_stop - opts.tstep_min {
+    while t < t_stop - opts.tstep_min && !samples.observed() {
         if let Some(deadline) = &opts.deadline {
             if deadline.expired() {
                 crate::metrics::rescue_metrics().deadline_expirations.incr();
