@@ -4,9 +4,11 @@
 //! point simulates up to the observation horizon
 //! ([`observation_end`](crate::observation_end)) instead of the full
 //! [`ClockPair::sim_stop_time`]; the numbers are bit-identical to a
-//! full-length [`SensingCircuit::simulate`].
+//! full-length [`SensingCircuit::simulate`]. The points of one call share
+//! one symbolic cache: every point simulates the same bench topology, so
+//! the sparse solver analyses it once per call.
 
-use clocksense_spice::SimOptions;
+use clocksense_spice::{SimOptions, SymbolicCache};
 
 use crate::error::CoreError;
 use crate::sensor::SensingCircuit;
@@ -57,9 +59,10 @@ pub fn sweep_vmin(
     opts: &SimOptions,
 ) -> Result<Vec<SkewSample>, CoreError> {
     let v_th = sensor.technology().logic_threshold();
+    let cache = SymbolicCache::new();
     let mut out = Vec::with_capacity(taus.len());
     for &tau in taus {
-        let response = sensor.observe(&clocks.with_skew(tau), opts)?;
+        let response = sensor.observe(&clocks.with_skew(tau), opts, &cache)?;
         let vmin = response.vmin_late(tau);
         out.push(SkewSample {
             tau,
@@ -98,8 +101,9 @@ pub fn find_tau_min(
             "tolerance must be positive, got {tolerance}"
         )));
     }
+    let cache = SymbolicCache::new();
     let detected = |tau: f64| -> Result<bool, CoreError> {
-        let response = sensor.observe(&clocks.with_skew(tau), opts)?;
+        let response = sensor.observe(&clocks.with_skew(tau), opts, &cache)?;
         Ok(response.verdict.is_error())
     };
     if !detected(tau_hi)? {
@@ -161,7 +165,7 @@ pub fn threshold_for_tolerance(
             "target_tau must be positive, got {target_tau}"
         )));
     }
-    let response = sensor.observe(&clocks.with_skew(target_tau), opts)?;
+    let response = sensor.observe(&clocks.with_skew(target_tau), opts, &SymbolicCache::new())?;
     let v_th = response.vmin_late(target_tau);
     let vdd = sensor.technology().vdd;
     if !(0.35 * vdd..=0.9 * vdd).contains(&v_th) {

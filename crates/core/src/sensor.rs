@@ -556,20 +556,23 @@ impl SensingCircuit {
         clocks: &ClockPair,
         opts: &SimOptions,
     ) -> Result<SensorResponse, CoreError> {
-        self.simulate_until(clocks, opts, clocks.sim_stop_time())
+        self.simulate_until(clocks, opts, clocks.sim_stop_time(), &SymbolicCache::new())
     }
 
     /// [`simulate`](Self::simulate) stopped at the observation horizon
     /// ([`observation_end`]): the extremes and the verdict are
     /// bit-identical, but the waveforms end just past the window, so
     /// neither the falling edges nor the recovery are in them. For
-    /// callers that read only V_min and the verdict.
+    /// callers that read only V_min and the verdict; a search over many
+    /// skews shares one `cache`, so the sparse solver analyses the
+    /// bench's topology once.
     pub(crate) fn observe(
         &self,
         clocks: &ClockPair,
         opts: &SimOptions,
+        cache: &SymbolicCache,
     ) -> Result<SensorResponse, CoreError> {
-        self.simulate_until(clocks, opts, observation_end(clocks, self.edge))
+        self.simulate_until(clocks, opts, observation_end(clocks, self.edge), cache)
     }
 
     fn simulate_until(
@@ -577,15 +580,10 @@ impl SensingCircuit {
         clocks: &ClockPair,
         opts: &SimOptions,
         t_observe: f64,
+        cache: &SymbolicCache,
     ) -> Result<SensorResponse, CoreError> {
         let bench = self.testbench(clocks)?;
-        let result = transient_observed(
-            &bench,
-            clocks.sim_stop_time(),
-            t_observe,
-            opts,
-            &SymbolicCache::new(),
-        )?;
+        let result = transient_observed(&bench, clocks.sim_stop_time(), t_observe, opts, cache)?;
         let (y1, y2) = self.outputs();
         Ok(interpret(
             result.waveform(y1),
@@ -711,7 +709,7 @@ mod tests {
             for tau in [0.0, 0.08e-9, -0.3e-9] {
                 let clocks = ClockPair::single_shot(5.0, 0.2e-9).with_skew(tau);
                 let full = s.simulate(&clocks, &opts).unwrap();
-                let cut = s.observe(&clocks, &opts).unwrap();
+                let cut = s.observe(&clocks, &opts, &SymbolicCache::new()).unwrap();
                 assert_eq!(cut.verdict, full.verdict);
                 for (a, b) in [
                     (cut.vmin_y1, full.vmin_y1),

@@ -1,22 +1,21 @@
 //! Work-stealing executor shared by the fault-campaign and Monte-Carlo
 //! drivers.
 //!
-//! The three parallel drivers in this workspace (`faults::run_campaign`,
-//! `montecarlo::run_scatter`, `montecarlo::tau_min_samples`) used to carry
-//! copy-pasted `thread::scope` blocks that split the work into static
-//! per-thread chunks. Static chunking is pathological for fault campaigns:
-//! one stuck-open fault that needs the full gmin/source continuation ladder
+//! Static per-thread chunking is pathological for fault campaigns: one
+//! stuck-open fault that needs the full gmin/source continuation ladder
 //! costs 10–100× the median item, and every other core idles behind it.
-//!
 //! [`Executor::run`] instead has each worker pull the *next* item index off
 //! a shared atomic counter — self-balancing regardless of per-item cost —
-//! while preserving the two invariants the drivers rely on:
+//! while preserving two invariants:
 //!
 //! * **deterministic ordering** — results land in a slot per item, so the
 //!   output `Vec` is in item order no matter which worker ran what when;
 //! * **panic isolation** — each item runs under
 //!   [`std::panic::catch_unwind`]; a panicking item becomes a
 //!   [`JobPanic`] record in its slot instead of aborting the run.
+//!
+//! Journal replay, chunking and each caller's panic policy live one layer
+//! up, in the item driver `clocksense_faults::checkpoint::run_items`.
 //!
 //! Per-item wall clock and panic counts are recorded through an optional
 //! `clocksense-telemetry` scope (`items`, `panics`, `item_wall`).
@@ -267,99 +266,6 @@ impl Executor {
             .map(|slot| slot.expect("every item index is claimed exactly once"))
             .collect()
     }
-
-    /// Run `job` for every index in `indices`, in parallel, returning the
-    /// results in `indices` order.
-    ///
-    /// This is the work-list form of [`run`](Executor::run) used by the
-    /// checkpoint/resume layer: after a journal replay filters out the
-    /// already-verdicted items, only the surviving original indices are
-    /// handed to the workers. Slot `k` of the returned `Vec` corresponds
-    /// to `indices[k]`, and a panicking call reports the *original* index
-    /// in its [`JobPanic`], so callers can merge results back into a full
-    /// work list without extra bookkeeping.
-    ///
-    /// ```
-    /// use clocksense_exec::Executor;
-    ///
-    /// let out = Executor::new(2).run_indexed(&[4, 1, 7], |i| i * 10);
-    /// let values: Vec<usize> = out.into_iter().map(Result::unwrap).collect();
-    /// assert_eq!(values, vec![40, 10, 70]);
-    /// ```
-    pub fn run_indexed<T, F>(&self, indices: &[usize], job: F) -> Vec<Result<T, JobPanic>>
-    where
-        T: Send,
-        F: Fn(usize) -> T + Sync,
-    {
-        self.run(indices.len(), |k| job(indices[k]))
-            .into_iter()
-            .enumerate()
-            .map(|(k, outcome)| {
-                outcome.map_err(|panic| JobPanic {
-                    index: indices[k],
-                    message: panic.message,
-                })
-            })
-            .collect()
-    }
-
-    /// Run `job` over `0..items` in contiguous chunks of at most
-    /// `chunk` items, returning per-item results in item order.
-    ///
-    /// This is the batch-aware counterpart of [`run`](Executor::run):
-    /// work that amortises per-call setup across several items (the
-    /// spice crate's batched variant solver packs a whole chunk into one
-    /// structure-of-arrays Newton solve) claims a *chunk* off the shared
-    /// queue instead of a single index. `job` receives the chunk's
-    /// half-open index range and must return exactly one result per
-    /// index in order; a mismatched length panics inside the worker and
-    /// is reported (like any other panic) against every item of that
-    /// chunk. A `chunk` of `0` or `1` degrades to per-item scheduling.
-    ///
-    /// ```
-    /// use clocksense_exec::Executor;
-    ///
-    /// let out = Executor::new(2).run_chunked(7, 3, |range| {
-    ///     range.map(|i| i * 10).collect()
-    /// });
-    /// let values: Vec<usize> = out.into_iter().map(Result::unwrap).collect();
-    /// assert_eq!(values, vec![0, 10, 20, 30, 40, 50, 60]);
-    /// ```
-    pub fn run_chunked<T, F>(&self, items: usize, chunk: usize, job: F) -> Vec<Result<T, JobPanic>>
-    where
-        T: Send,
-        F: Fn(std::ops::Range<usize>) -> Vec<T> + Sync,
-    {
-        let chunk = chunk.max(1);
-        let chunks = items.div_ceil(chunk);
-        let chunk_results = self.run(chunks, |c| {
-            let range = c * chunk..((c + 1) * chunk).min(items);
-            let want = range.len();
-            let out = job(range.clone());
-            assert_eq!(
-                out.len(),
-                want,
-                "chunked job returned {} results for {} items",
-                out.len(),
-                want
-            );
-            out
-        });
-        let mut slots: Vec<Result<T, JobPanic>> = Vec::with_capacity(items);
-        for (c, outcome) in chunk_results.into_iter().enumerate() {
-            let range = c * chunk..((c + 1) * chunk).min(items);
-            match outcome {
-                Ok(values) => slots.extend(values.into_iter().map(Ok)),
-                Err(panic) => slots.extend(range.map(|i| {
-                    Err(JobPanic {
-                        index: i,
-                        message: panic.message.clone(),
-                    })
-                })),
-            }
-        }
-        slots
-    }
 }
 
 fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
@@ -376,23 +282,6 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
-
-    #[test]
-    fn run_indexed_reports_original_indices() {
-        let out = Executor::new(3).run_indexed(&[9, 2, 5, 11], |i| {
-            if i == 5 {
-                panic!("boom at {i}");
-            }
-            i + 100
-        });
-        assert_eq!(out[0], Ok(109));
-        assert_eq!(out[1], Ok(102));
-        let panic = out[2].as_ref().unwrap_err();
-        assert_eq!(panic.index, 5);
-        assert!(panic.message.contains("boom at 5"));
-        assert_eq!(out[3], Ok(111));
-        assert!(Executor::new(2).run_indexed(&[], |i: usize| i).is_empty());
-    }
 
     #[test]
     fn results_are_in_item_order() {
@@ -457,42 +346,6 @@ mod tests {
         assert_eq!(ex.workers_for(3), 3);
         assert_eq!(ex.workers_for(100), 8);
         assert_eq!(ex.workers_for(1), 1);
-    }
-
-    #[test]
-    fn chunked_results_are_in_item_order_with_ragged_tail() {
-        let out = Executor::new(3).run_chunked(10, 4, |range| range.map(|i| i + 100).collect());
-        let values: Vec<usize> = out.into_iter().map(Result::unwrap).collect();
-        assert_eq!(values, (100..110).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn chunked_panic_is_confined_to_its_chunk() {
-        let out = Executor::new(2).run_chunked(9, 3, |range| {
-            if range.contains(&4) {
-                panic!("chunk blew up");
-            }
-            range.collect()
-        });
-        for (i, slot) in out.iter().enumerate() {
-            if (3..6).contains(&i) {
-                let err = slot.as_ref().unwrap_err();
-                assert_eq!(err.index, i);
-                assert!(err.message.contains("chunk blew up"));
-            } else {
-                assert_eq!(*slot.as_ref().unwrap(), i);
-            }
-        }
-    }
-
-    #[test]
-    fn chunk_width_zero_or_one_degrades_to_per_item() {
-        let a = Executor::new(2).run_chunked(5, 0, |r| r.collect::<Vec<_>>());
-        let b = Executor::new(2).run_chunked(5, 1, |r| r.collect::<Vec<_>>());
-        let a: Vec<usize> = a.into_iter().map(Result::unwrap).collect();
-        let b: Vec<usize> = b.into_iter().map(Result::unwrap).collect();
-        assert_eq!(a, vec![0, 1, 2, 3, 4]);
-        assert_eq!(a, b);
     }
 
     #[test]

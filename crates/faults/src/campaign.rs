@@ -2,17 +2,17 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::ops::Range;
 use std::path::PathBuf;
-use std::sync::Mutex;
 use std::time::Duration;
 
 use clocksense_core::{ClockPair, SensingCircuit};
 use clocksense_exec::{Deadline, Executor};
 use clocksense_netlist::{canonical_form, fnv1a, SourceWave, FNV_OFFSET};
-use clocksense_spice::{IntegrationMethod, SimOptions, SolverKind, SpiceError, TranResult};
+use clocksense_spice::{IntegrationMethod, SimOptions, SpiceError, TranResult};
 
 use crate::checkpoint::{
-    campaign_fingerprint, decode_fault_record, encode_fault_record, Journal, TAG_FAULT,
+    campaign_fingerprint, decode_fault_record, encode_fault_record, run_items, Memo, TAG_FAULT,
 };
 use crate::detect::{logic_detected, static_flip, DetectionCriteria, DetectionOutcome};
 use crate::error::FaultError;
@@ -112,8 +112,7 @@ impl CampaignConfig {
     /// Journals finished items to `path` and replays whatever that
     /// journal already holds on the next run, so a killed campaign
     /// resumes where it died and an unchanged re-run is pure memo hits.
-    /// The final report is byte-identical to an uninterrupted run (for
-    /// batched campaigns see the re-packing caveat in `DESIGN.md` §3.6).
+    /// The final report is byte-identical to an uninterrupted run.
     pub fn checkpoint(mut self, path: impl Into<PathBuf>) -> Self {
         self.checkpoint = Some(path.into());
         self
@@ -411,8 +410,8 @@ fn evaluate_fault(
 
     // Transient divergence under fault-free clocks, scanned over the
     // second cycle. With a batched campaign this result was already
-    // computed by the pre-pass; each variant's own success or failure
-    // travels in its slot, so a batch-mate that dropped out never
+    // computed with the item's chunk; each variant's own success or
+    // failure travels in its slot, so a batch-mate that dropped out never
     // contaminates this fault's verdict.
     let mut transient_failed = false;
     let mut divergent = false;
@@ -530,12 +529,29 @@ fn evaluate_fault(
     })
 }
 
+/// The record of a fault whose evaluation panicked; the executor
+/// contained the panic, and `detail` carries its payload.
+fn panic_record(fault: &Fault, detail: String, retried: bool) -> FaultRecord {
+    FaultRecord {
+        fault: fault.clone(),
+        outcome: DetectionOutcome::Inconclusive,
+        iddq: None,
+        masks_skew: None,
+        failure: Some(FailureInfo {
+            kind: FailureKind::Panic,
+            detail,
+        }),
+        retried,
+    }
+}
+
 /// Runs a fault-simulation campaign: every fault is injected into the
 /// sensor's test bench, simulated under fault-free clocks, and classified
 /// per the paper's criteria (logic error indication, then IDDQ, then a
 /// skew-masking check for escapes). Faults are distributed over worker
-/// threads pulled from a shared work queue ([`clocksense_exec::Executor`]),
-/// so one expensive fault (continuation ladders for stuck-opens) does not
+/// threads pulled from a shared work queue by the item driver
+/// ([`checkpoint::run_items`](crate::checkpoint::run_items)), so one
+/// expensive fault (continuation ladders for stuck-opens) does not
 /// serialise the rest of the universe behind a static chunk boundary.
 ///
 /// # Errors
@@ -555,173 +571,119 @@ pub fn run_campaign(
             records: Vec::new(),
         });
     }
-    let rails = Rails::vdd_gnd("vdd");
+    let rails = &Rails::vdd_gnd("vdd");
     // One template serves the whole campaign: with the sparse backend,
     // every fault variant that preserves the bench's stamp topology
     // reuses the symbolic structure analysed for the first one.
-    let template = SimTemplate::new(cfg.sim.clone());
-    // Checkpoint replay: hash every item up front (injected netlist +
-    // campaign fingerprint), replay journalled verdicts as memo hits,
-    // and hand only the remainder to the executor. The `checkpoint.*`
-    // counters materialise only on this path, so runs without a journal
-    // keep their telemetry snapshots byte-identical.
-    let mut replayed: Vec<Option<FaultRecord>> = vec![None; faults.len()];
-    let mut hashes: Vec<u64> = Vec::new();
-    let journal: Option<Mutex<Journal>> = match &cfg.checkpoint {
-        Some(path) => {
+    let template = &SimTemplate::new(cfg.sim.clone());
+    // A record is final unless the retry pass will replace it (a failure
+    // travels exactly on inconclusive records).
+    let encode = |record: &FaultRecord| {
+        let provisional = cfg.retry && !record.retried && record.failure.is_some();
+        (!provisional).then(|| encode_fault_record(record))
+    };
+    let decode = |i: usize, fields: &[String]| decode_fault_record(fields, &faults[i]);
+    // Memo key: the injected netlist plus the campaign fingerprint.
+    let memo = cfg
+        .checkpoint
+        .as_ref()
+        .map(|path| {
             let bench = sensor.testbench(&cfg.clocks)?;
             let fingerprint = campaign_fingerprint(cfg, sensor.technology().logic_threshold());
-            hashes = faults
+            let hashes = faults
                 .iter()
                 .map(|f| {
-                    let injected = inject(&bench, f, &rails)?;
+                    let injected = inject(&bench, f, rails)?;
                     let h = fnv1a(FNV_OFFSET, canonical_form(&injected).as_bytes());
                     Ok(fnv1a(h, fingerprint.as_bytes()))
                 })
                 .collect::<Result<Vec<u64>, FaultError>>()?;
-            let journal = Journal::open(path)
-                .map_err(|e| FaultError::Checkpoint(format!("{}: {e}", path.display())))?;
-            for (i, fault) in faults.iter().enumerate() {
-                replayed[i] = journal
-                    .lookup(hashes[i], TAG_FAULT)
-                    .and_then(|fields| decode_fault_record(fields, fault));
-            }
-            let hits = replayed.iter().filter(|r| r.is_some()).count() as u64;
-            let scope = clocksense_telemetry::global().scope("checkpoint");
-            scope.counter("items_total").add(faults.len() as u64);
-            scope.counter("memo_hits").add(hits);
-            scope.counter("memo_misses").add(faults.len() as u64 - hits);
-            scope.counter("records_replayed").add(hits);
-            Some(Mutex::new(journal))
-        }
-        None => None,
+            Memo::open(
+                path,
+                TAG_FAULT,
+                hashes,
+                &decode,
+                &encode,
+                FaultError::Checkpoint,
+            )
+        })
+        .transpose()?;
+    let tele = clocksense_telemetry::global().scope("faults");
+    let evaluated = tele.counter("faults_evaluated");
+    let executor = Executor::new(cfg.threads).with_telemetry(tele.clone());
+
+    // One pass over `items` (indices into `faults`) on `base` options,
+    // in chunks of `chunk`. With a lane chunk (sparse backend, batch
+    // width set), each chunk's detection transients — the dominant cost
+    // of an item — run through the spice batch kernel before its members
+    // are evaluated. Each variant's result, success or structured
+    // failure, lands in its own slot: a variant that fails mid-batch
+    // drops out to the kernel's scalar rescue path, so a quarantine-bound
+    // fault cannot poison its batch-mates. The batch runs without the
+    // per-item deadline (one shared token would charge the whole chunk's
+    // wall clock to every member); everything else an item runs keeps it.
+    let pass = |items: &[usize],
+                chunk: usize,
+                memo: Option<&Memo<'_, FaultRecord, FaultError>>,
+                base: &SimOptions,
+                retried: bool,
+                fault_free: &mut Option<Vec<Option<(f64, f64)>>>| {
+        run_items(
+            items.len(),
+            chunk,
+            memo,
+            &executor,
+            &evaluated,
+            move || {
+                // The fault-free levels every evaluation compares against,
+                // computed by the first pass with an item to run. A failing
+                // fault-free pattern is not an error by itself (the comparison
+                // just loses that pattern), so the reason is dropped.
+                let levels = match fault_free.take() {
+                    Some(levels) => levels,
+                    None => static_levels(sensor, None, cfg, rails, template, &cfg.sim, &mut None)?,
+                };
+                let fault_free_static: &[_] = fault_free.insert(levels);
+                let bench = (chunk > 1)
+                    .then(|| sensor.testbench(&cfg.clocks))
+                    .transpose()?;
+                Ok(move |range: Range<usize>| {
+                    // A chunk holding a fault that fails to inject runs
+                    // scalar; that fault's own evaluation reports the error.
+                    let benches: Option<Vec<_>> = bench.as_ref().and_then(|bench| {
+                        range
+                            .clone()
+                            .map(|k| inject(bench, &faults[items[k]], rails).ok())
+                            .collect()
+                    });
+                    let mut pre_tran = benches
+                        .map(|b| template.transient_batch_opts(&b, cfg.stop_time(), base))
+                        .unwrap_or_default()
+                        .into_iter();
+                    range
+                        .map(|k| {
+                            let record = evaluate_fault(
+                                sensor,
+                                &faults[items[k]],
+                                cfg,
+                                rails,
+                                template,
+                                fault_free_static,
+                                &cfg.item_sim(base),
+                                pre_tran.next().as_ref(),
+                            )?;
+                            Ok(FaultRecord { retried, ..record })
+                        })
+                        .collect()
+                })
+            },
+            |k, message| Ok(panic_record(&faults[items[k]], message, retried)),
+        )
     };
-    let fresh: Vec<usize> = replayed
-        .iter()
-        .enumerate()
-        .filter(|(_, r)| r.is_none())
-        .map(|(i, _)| i)
-        .collect();
-    // The fault-free static levels every evaluation compares against,
-    // computed only when some item will be evaluated: a campaign served
-    // entirely from its journal runs no DC solve. The retry pass needs
-    // them only in that case too, because a replayed record is final (see
-    // the retry pass below). A failing fault-free pattern is not an error
-    // by itself (the comparison just loses that pattern), so the reason
-    // is dropped here.
-    let fault_free_static = if fresh.is_empty() {
-        Vec::new()
-    } else {
-        static_levels(sensor, None, cfg, &rails, &template, &cfg.sim, &mut None)?
-    };
-    let mut fresh_pos = vec![usize::MAX; faults.len()];
-    for (k, &i) in fresh.iter().enumerate() {
-        fresh_pos[i] = k;
-    }
-    // Journals one finished record under its item hash; a no-op without
-    // a checkpoint. Only *final* records may be written (see the module
-    // doc of [`checkpoint`](crate::checkpoint)); the callers below
-    // enforce that.
-    let append_record = |record: &FaultRecord, i: usize| -> Result<(), FaultError> {
-        if let Some(journal) = &journal {
-            let mut journal = journal
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            journal
-                .append(hashes[i], TAG_FAULT, &encode_fault_record(record))
-                .map_err(|e| FaultError::Checkpoint(e.to_string()))?;
-        }
-        Ok(())
-    };
-    // Batched detection pre-pass: with the sparse backend and a batch
-    // width configured, the per-fault detection transients (the dominant
-    // cost of a campaign item) run through the spice batch kernel before
-    // the per-item pass fans out. Each variant's result — success or
-    // structured failure — lands in its own slot: a variant that fails
-    // mid-batch drops out to the kernel's scalar rescue path, so a
-    // quarantine-bound fault cannot poison its batch-mates. The pre-pass
-    // deliberately runs without the per-item deadline (one shared token
-    // would charge the whole pass's wall clock to every item); deadline
-    // enforcement still applies to everything the per-item pass runs.
-    // Only the fresh remainder is packed, so a resumed batched campaign
-    // marches a different union breakpoint grid than the uninterrupted
-    // run did — see DESIGN.md §3.6 for the byte-identity caveat.
-    //
-    // The pre-pass is sharded across the campaign's worker pool in
-    // lane-aligned sub-batches (`lane_chunk` rounds the configured batch
-    // width up to whole SIMD lane blocks), so a wide population uses
-    // both the kernel's vector lanes and the machine's cores. A shard
-    // that panics degrades only its own items: they fall back to the
-    // per-item pass below exactly as if no pre-pass result existed.
-    let pre_tran: Option<Vec<Option<Result<TranResult, SpiceError>>>> =
-        if cfg.sim.batch >= 2 && cfg.sim.solver == SolverKind::Sparse && !fresh.is_empty() {
-            let bench = sensor.testbench(&cfg.clocks)?;
-            let benches = fresh
-                .iter()
-                .map(|&i| inject(&bench, &faults[i], &rails))
-                .collect::<Result<Vec<_>, FaultError>>()?;
-            let shards = Executor::new(cfg.threads).run_chunked(
-                benches.len(),
-                cfg.sim.lane_chunk(),
-                |range| template.transient_batch_opts(&benches[range], cfg.stop_time(), &cfg.sim),
-            );
-            Some(shards.into_iter().map(Result::ok).collect())
-        } else {
-            None
-        };
-    let fresh_records = campaign_records_at(faults, &fresh, cfg.threads, |i, f| {
-        let opts = cfg.item_sim(&cfg.sim);
-        let record = evaluate_fault(
-            sensor,
-            f,
-            cfg,
-            &rails,
-            &template,
-            &fault_free_static,
-            &opts,
-            pre_tran.as_ref().and_then(|v| v[fresh_pos[i]].as_ref()),
-        )?;
-        // First-pass records are final unless the retry pass will
-        // replace them.
-        let provisional = cfg.retry
-            && record.outcome == DetectionOutcome::Inconclusive
-            && record.failure.is_some();
-        if !provisional {
-            append_record(&record, i)?;
-        }
-        Ok(record)
-    })?;
-    let mut records: Vec<FaultRecord> = Vec::with_capacity(faults.len());
-    {
-        let mut fresh_records = fresh_records.into_iter();
-        for slot in replayed {
-            records.push(match slot {
-                Some(record) => record,
-                None => fresh_records.next().ok_or_else(|| {
-                    // One fresh record exists per unreplayed slot by
-                    // construction; running dry means the journal replay
-                    // desynchronised from the fault list.
-                    FaultError::Checkpoint(
-                        "journal replay out of sync with campaign items".to_string(),
-                    )
-                })?,
-            });
-        }
-    }
-    // Panic-degraded records are built by the executor wrapper, not the
-    // evaluator closure above, so when no retry pass will finalise them
-    // they are journalled here.
-    if journal.is_some() && !cfg.retry {
-        for &i in &fresh {
-            let panicked = records[i]
-                .failure
-                .as_ref()
-                .is_some_and(|f| f.kind == FailureKind::Panic);
-            if panicked {
-                append_record(&records[i], i)?;
-            }
-        }
-    }
+    let mut fault_free = None;
+    let all: Vec<usize> = (0..faults.len()).collect();
+    let chunk = cfg.sim.lane_chunk().max(1);
+    let mut records = pass(&all, chunk, memo.as_ref(), &cfg.sim, false, &mut fault_free)?;
 
     // Retry pass: re-queue every fault whose evaluation failed, once,
     // with relaxed options. Survivors are quarantined (`retried` stays
@@ -734,9 +696,7 @@ pub fn run_campaign(
     let retry_idx: Vec<usize> = records
         .iter()
         .enumerate()
-        .filter(|(_, r)| {
-            r.outcome == DetectionOutcome::Inconclusive && r.failure.is_some() && !r.retried
-        })
+        .filter(|(_, r)| r.failure.is_some() && !r.retried)
         .map(|(i, _)| i)
         .collect();
     if cfg.retry && !retry_idx.is_empty() {
@@ -744,42 +704,31 @@ pub fn run_campaign(
         campaign_tele
             .counter("retry_scheduled")
             .add(retry_idx.len() as u64);
-        let relaxed = cfg.relaxed_sim();
-        let retry_faults: Vec<Fault> = retry_idx.iter().map(|&i| faults[i].clone()).collect();
+        let retry_memo = memo.as_ref().map(|m| m.select(&retry_idx));
         // Retries always take the scalar path: the relaxed options exist
         // to rescue exactly the circuits the shared batch grid is wrong
         // for, and each retry wants its own halving/rescue ladder.
-        let retry_records = campaign_records(&retry_faults, cfg.threads, |_, f| {
-            let opts = cfg.item_sim(&relaxed);
-            evaluate_fault(
-                sensor,
-                f,
-                cfg,
-                &rails,
-                &template,
-                &fault_free_static,
-                &opts,
-                None,
-            )
-        })?;
-        let mut recovered = 0u64;
-        let mut quarantined = 0u64;
-        for (&i, mut record) in retry_idx.iter().zip(retry_records) {
-            record.retried = true;
-            if record.outcome != DetectionOutcome::Inconclusive {
-                recovered += 1;
-            } else {
-                quarantined += 1;
-            }
-            // Retry records are always final: recovered or quarantined.
-            append_record(&record, i)?;
+        let retry_records = pass(
+            &retry_idx,
+            1,
+            retry_memo.as_ref(),
+            &cfg.relaxed_sim(),
+            true,
+            &mut fault_free,
+        )?;
+        let recovered = retry_records
+            .iter()
+            .filter(|r| r.outcome != DetectionOutcome::Inconclusive)
+            .count() as u64;
+        campaign_tele.counter("retry_recovered").add(recovered);
+        campaign_tele
+            .counter("quarantined")
+            .add(retry_records.len() as u64 - recovered);
+        for (i, record) in retry_idx.into_iter().zip(retry_records) {
             records[i] = record;
         }
-        campaign_tele.counter("retry_recovered").add(recovered);
-        campaign_tele.counter("quarantined").add(quarantined);
     }
 
-    let tele = clocksense_telemetry::global().scope("faults");
     let (cache_hits, cache_misses) = template.cache_stats();
     tele.counter("template_cache_hits").add(cache_hits);
     tele.counter("template_cache_misses").add(cache_misses);
@@ -794,56 +743,6 @@ pub fn run_campaign(
         tele.counter(name).add(n as u64);
     }
     Ok(CampaignResult { records })
-}
-
-/// Evaluates every fault through the shared executor and applies the
-/// campaign's error policy: structural errors abort (first one, in fault
-/// order), panics degrade to [`DetectionOutcome::Inconclusive`] records.
-///
-/// Factored out of [`run_campaign`] so the panic policy is testable with
-/// an injected evaluator.
-fn campaign_records(
-    faults: &[Fault],
-    threads: usize,
-    eval: impl Fn(usize, &Fault) -> Result<FaultRecord, FaultError> + Sync,
-) -> Result<Vec<FaultRecord>, FaultError> {
-    let all: Vec<usize> = (0..faults.len()).collect();
-    campaign_records_at(faults, &all, threads, eval)
-}
-
-/// Work-list form of [`campaign_records`]: evaluates only the faults at
-/// `indices` (original indices, e.g. after a checkpoint replay filtered
-/// the universe), returning one record per index in `indices` order.
-fn campaign_records_at(
-    faults: &[Fault],
-    indices: &[usize],
-    threads: usize,
-    eval: impl Fn(usize, &Fault) -> Result<FaultRecord, FaultError> + Sync,
-) -> Result<Vec<FaultRecord>, FaultError> {
-    let tele = clocksense_telemetry::global().scope("faults");
-    let faults_evaluated = tele.counter("faults_evaluated");
-    let outcomes = Executor::new(threads)
-        .with_telemetry(tele)
-        .run_indexed(indices, |i| eval(i, &faults[i]));
-    faults_evaluated.add(indices.len() as u64);
-    let mut records = Vec::with_capacity(indices.len());
-    for (&i, outcome) in indices.iter().zip(outcomes) {
-        match outcome {
-            Ok(record) => records.push(record?),
-            Err(panic) => records.push(FaultRecord {
-                fault: faults[i].clone(),
-                outcome: DetectionOutcome::Inconclusive,
-                iddq: None,
-                masks_skew: None,
-                failure: Some(FailureInfo {
-                    kind: FailureKind::Panic,
-                    detail: panic.message,
-                }),
-                retried: false,
-            }),
-        }
-    }
-    Ok(records)
 }
 
 #[cfg(test)]
@@ -1028,6 +927,35 @@ mod tests {
         let _ = std::fs::remove_file(&path);
     }
 
+    /// Runs `eval` per fault through the item driver with the campaign's
+    /// panic policy, as `run_campaign`'s passes do.
+    fn drive_faults(
+        faults: &[Fault],
+        threads: usize,
+        eval: impl Fn(&Fault) -> Result<FaultRecord, FaultError> + Sync,
+    ) -> Result<Vec<FaultRecord>, FaultError> {
+        run_items(
+            faults.len(),
+            1,
+            None,
+            &Executor::new(threads),
+            &clocksense_telemetry::Counter::noop(),
+            || Ok(|range: Range<usize>| range.map(|i| eval(&faults[i])).collect()),
+            |i, message| Ok(panic_record(&faults[i], message, false)),
+        )
+    }
+
+    fn logic_record(f: &Fault) -> FaultRecord {
+        FaultRecord {
+            fault: f.clone(),
+            outcome: DetectionOutcome::DetectedLogic,
+            iddq: None,
+            masks_skew: None,
+            failure: None,
+            retried: false,
+        }
+    }
+
     #[test]
     fn a_panicking_evaluation_degrades_to_inconclusive() {
         let faults: Vec<Fault> = ["y1", "y2", "n1"]
@@ -1037,18 +965,11 @@ mod tests {
                 level: StuckLevel::Zero,
             })
             .collect();
-        let records = campaign_records(&faults, 2, |_, f| {
+        let records = drive_faults(&faults, 2, |f| {
             if matches!(f, Fault::NodeStuckAt { node, .. } if node == "y2") {
                 panic!("injected evaluator panic");
             }
-            Ok(FaultRecord {
-                fault: f.clone(),
-                outcome: DetectionOutcome::DetectedLogic,
-                iddq: None,
-                masks_skew: None,
-                failure: None,
-                retried: false,
-            })
+            Ok(logic_record(f))
         })
         .unwrap();
         assert_eq!(records.len(), 3);
@@ -1079,18 +1000,11 @@ mod tests {
                 level: StuckLevel::One,
             },
         ];
-        let err = campaign_records(&faults, 1, |_, f| match f {
+        let err = drive_faults(&faults, 1, |f| match f {
             Fault::NodeStuckAt { node, .. } if node == "no_such_node" => {
                 Err(FaultError::UnknownNode(node.clone()))
             }
-            _ => Ok(FaultRecord {
-                fault: f.clone(),
-                outcome: DetectionOutcome::DetectedLogic,
-                iddq: None,
-                masks_skew: None,
-                failure: None,
-                retried: false,
-            }),
+            _ => Ok(logic_record(f)),
         })
         .unwrap_err();
         assert_eq!(err, FaultError::UnknownNode("no_such_node".into()));

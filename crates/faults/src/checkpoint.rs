@@ -1,16 +1,26 @@
-//! Campaign checkpoint journal and canonical-hash memo cache.
+//! Checkpoint journal, canonical-hash memo cache, and the one item
+//! driver both campaign types run on.
 //!
-//! A campaign configured with [`CampaignConfig::checkpoint`] writes one
-//! journal record per *completed* fault item, keyed by a canonical
-//! content hash of exactly what was simulated: the injected test-bench
-//! netlist ([`clocksense_netlist::canonical_form`]) plus a fingerprint
-//! of every option that can influence the verdict ([`SimOptions`],
-//! clocks, detection criteria, retry policy). On the next run the
-//! journal is replayed first: items whose hash already carries a record
-//! are skipped entirely (a *memo hit*), and only the remainder is handed
-//! to the executor — so an interrupted campaign resumes where it died,
-//! an unchanged campaign is pure cache hits, and editing one device's
-//! value re-simulates only the variants whose hashes moved.
+//! [`run_items`] drives every item campaign in the workspace — the fault
+//! campaign ([`run_campaign`]) and the Monte-Carlo scatter — through one
+//! loop: journal replay, lane-aligned chunking, executor fan-out, panic
+//! policy and journalling. A campaign configured with
+//! [`CampaignConfig::checkpoint`] (or a scatter with a journal path)
+//! hands the driver a [`Memo`]: an open journal plus one canonical
+//! content hash per item, covering exactly what the item simulates — the
+//! injected test-bench netlist ([`clocksense_netlist::canonical_form`])
+//! plus a fingerprint of every option that can influence the result
+//! ([`SimOptions`], clocks, detection criteria, retry policy). The
+//! driver replays the journal first: items whose hash already carries a
+//! record are skipped entirely (a *memo hit*), and only chunks holding a
+//! miss are handed to the executor — so an interrupted campaign resumes
+//! where it died, an unchanged campaign is pure cache hits, and editing
+//! one device's value re-simulates only the variants whose hashes moved.
+//!
+//! Replay is chunk-granular at the *original* chunk boundaries: the batch
+//! kernel marches the union breakpoint grid of a chunk's members, so a
+//! chunk with any miss re-runs whole and a resumed batched campaign
+//! reproduces the uninterrupted one bit for bit.
 //!
 //! # File format and atomicity
 //!
@@ -34,11 +44,12 @@
 //! the replay: corruption costs exactly the records it touched, which
 //! simply re-simulate as memo misses.
 //!
-//! A record is journalled only once it is *final* — after the retry pass
-//! when the campaign retries, immediately otherwise — so a resume can
-//! never replay a pre-retry verdict that the uninterrupted run would
-//! have overwritten.
+//! A record is journalled only once it is *final*: the memo's encoder
+//! declines a record a later pass will replace (a campaign's provisional
+//! inconclusive before its retry pass), so a resume can never replay a
+//! pre-retry verdict that the uninterrupted run would have overwritten.
 //!
+//! [`run_campaign`]: crate::run_campaign
 //! [`CampaignConfig::checkpoint`]: crate::CampaignConfig::checkpoint
 //! [`SimOptions`]: clocksense_spice::SimOptions
 
@@ -46,10 +57,14 @@ use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::fs;
 use std::io::{self, Write as _};
+use std::ops::Range;
 use std::path::{Path, PathBuf};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
+use clocksense_exec::Executor;
 use clocksense_netlist::f64_bits;
 use clocksense_spice::{IntegrationMethod, SimOptions, SolverKind, TimestepControl};
+use clocksense_telemetry::Counter;
 
 use crate::campaign::{CampaignConfig, FailureInfo, FailureKind, FaultRecord};
 use crate::detect::DetectionOutcome;
@@ -278,6 +293,192 @@ impl Journal {
         }
         fs::rename(&tmp, &self.path)
     }
+}
+
+/// The journal side of [`run_items`]: an open journal, the tag and
+/// per-item hashes the records live under, and the caller's codec.
+pub struct Memo<'a, T, E> {
+    journal: Arc<Mutex<Journal>>,
+    tag: &'static str,
+    hashes: Vec<u64>,
+    replays: bool,
+    decode: &'a (dyn Fn(usize, &[String]) -> Option<T> + Sync),
+    encode: &'a (dyn Fn(&T) -> Option<Vec<String>> + Sync),
+    error: fn(String) -> E,
+}
+
+impl<'a, T, E> Memo<'a, T, E> {
+    /// Opens the journal at `path` for items keyed by `hashes` (one per
+    /// item) under `tag`. `decode(i, fields)` rebuilds item `i`'s result,
+    /// cross-checked against the item (`None` is a memo miss);
+    /// `encode(result)` gives its fields, or `None` while a later pass may
+    /// still replace it (the result is not final yet).
+    ///
+    /// # Errors
+    ///
+    /// Journal I/O failures, here and on every later append, surface as
+    /// `error("<path>: <io error>")`.
+    pub fn open(
+        path: &Path,
+        tag: &'static str,
+        hashes: Vec<u64>,
+        decode: &'a (dyn Fn(usize, &[String]) -> Option<T> + Sync),
+        encode: &'a (dyn Fn(&T) -> Option<Vec<String>> + Sync),
+        error: fn(String) -> E,
+    ) -> Result<Self, E> {
+        let journal = Journal::open(path).map_err(|e| error(format!("{}: {e}", path.display())))?;
+        Ok(Memo {
+            journal: Arc::new(Mutex::new(journal)),
+            tag,
+            hashes,
+            replays: true,
+            decode,
+            encode,
+            error,
+        })
+    }
+
+    /// A journal-only view of `items` (indices into this memo) for a
+    /// later pass over them: item `k` of the view journals under
+    /// `items[k]`'s hash in the same journal, and nothing replays.
+    pub fn select(&self, items: &[usize]) -> Memo<'a, T, E> {
+        Memo {
+            journal: Arc::clone(&self.journal),
+            tag: self.tag,
+            hashes: items.iter().map(|&i| self.hashes[i]).collect(),
+            replays: false,
+            decode: self.decode,
+            encode: self.encode,
+            error: self.error,
+        }
+    }
+
+    // Appends leave the journal consistent at every step, so a worker
+    // that panicked while holding the lock poisons nothing.
+    fn journal(&self) -> MutexGuard<'_, Journal> {
+        self.journal.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Journals item `i`'s result once it is final.
+    fn finish(&self, i: usize, result: Result<T, E>) -> Result<T, E> {
+        let value = result?;
+        if let Some(fields) = (self.encode)(&value) {
+            let mut journal = self.journal();
+            journal
+                .append(self.hashes[i], self.tag, &fields)
+                .map_err(|e| (self.error)(format!("{}: {e}", journal.path().display())))?;
+        }
+        Ok(value)
+    }
+}
+
+/// Runs `items` items in chunks of `chunk` (`0` or `1`: one item each)
+/// over `executor` and returns their results in item order; the first
+/// error in item order aborts.
+///
+/// * **Replay.** With a `memo` that replays (not a
+///   [`select`](Memo::select) view), journalled items are decoded first.
+///   A chunk replays only whole — one miss demotes every member, and the
+///   chunk re-runs on the grid the uninterrupted run used. The lazily
+///   created `checkpoint.*` counters tally items, hits and misses.
+/// * **Set-up.** `evaluator` builds the chunk evaluator only when some
+///   chunk is left to run, so shared set-up (a campaign's fault-free
+///   baseline) costs nothing on a fully journalled re-run.
+/// * **Schedule.** Only chunks with a miss go to
+///   [`Executor::run`]; `ran` counts their items. The evaluator returns
+///   one result per item of the range it is given.
+/// * **Journal.** Each result the memo calls final is appended as soon
+///   as its chunk completes.
+/// * **Panics.** A panicking chunk wider than one item re-runs its items
+///   one at a time, so only an item that panics on its own — or one the
+///   evaluator returned no result for — takes `on_panic(item, message)`.
+///
+/// # Errors
+///
+/// The evaluator's set-up error, the first per-item error, or a journal
+/// append failure.
+pub fn run_items<T, E, F>(
+    items: usize,
+    chunk: usize,
+    memo: Option<&Memo<'_, T, E>>,
+    executor: &Executor,
+    ran: &Counter,
+    evaluator: impl FnOnce() -> Result<F, E>,
+    on_panic: impl Fn(usize, String) -> Result<T, E>,
+) -> Result<Vec<T>, E>
+where
+    T: Send,
+    E: Send,
+    F: Fn(Range<usize>) -> Vec<Result<T, E>> + Sync,
+{
+    let chunk = chunk.max(1);
+    let mut slots: Vec<Option<Result<T, E>>> = (0..items).map(|_| None).collect();
+    if let Some(memo) = memo.filter(|m| m.replays) {
+        let journal = memo.journal();
+        for (i, slot) in slots.iter_mut().enumerate() {
+            *slot = journal
+                .lookup(memo.hashes[i], memo.tag)
+                .and_then(|fields| (memo.decode)(i, fields))
+                .map(Ok);
+        }
+        drop(journal);
+        for members in slots.chunks_mut(chunk) {
+            if members.iter().any(Option::is_none) {
+                members.fill_with(|| None);
+            }
+        }
+        let hits = slots.iter().filter(|s| s.is_some()).count() as u64;
+        let scope = clocksense_telemetry::global().scope("checkpoint");
+        scope.counter("items_total").add(items as u64);
+        scope.counter("memo_hits").add(hits);
+        scope.counter("memo_misses").add(items as u64 - hits);
+        scope.counter("records_replayed").add(hits);
+    }
+    let mut work: Vec<Range<usize>> = (0..items)
+        .step_by(chunk)
+        .map(|start| start..(start + chunk).min(items))
+        .filter(|range| slots[range.clone()].iter().any(Option::is_none))
+        .collect();
+    ran.add(work.iter().map(ExactSizeIterator::len).sum::<usize>() as u64);
+    let finish = |i: usize, result: Result<T, E>| match memo {
+        Some(memo) => memo.finish(i, result),
+        None => result,
+    };
+    if !work.is_empty() {
+        let eval = evaluator()?;
+        while !work.is_empty() {
+            let outcomes = executor.run(work.len(), |k| {
+                let range = work[k].clone();
+                let results = eval(range.clone());
+                range
+                    .zip(results)
+                    .map(|(i, result)| (i, finish(i, result)))
+                    .collect::<Vec<_>>()
+            });
+            let mut singles = Vec::new();
+            for (range, outcome) in work.into_iter().zip(outcomes) {
+                match outcome {
+                    Ok(results) => {
+                        for (i, result) in results {
+                            slots[i] = Some(result);
+                        }
+                    }
+                    Err(_) if range.len() > 1 => singles.extend(range.map(|i| i..i + 1)),
+                    Err(panic) => {
+                        let i = range.start;
+                        slots[i] = Some(finish(i, on_panic(i, panic.message)));
+                    }
+                }
+            }
+            work = singles;
+        }
+    }
+    let lost = |i: usize| finish(i, on_panic(i, "the evaluator returned no result".into()));
+    slots
+        .into_iter()
+        .enumerate()
+        .map(|(i, slot)| slot.unwrap_or_else(|| lost(i)))
+        .collect()
 }
 
 fn duration_field(d: Option<std::time::Duration>) -> String {
@@ -595,6 +796,176 @@ mod tests {
         assert_eq!(j.lookup(7, TAG_FAULT).unwrap(), &["new".to_string()]);
         let j2 = Journal::open(&path).unwrap();
         assert_eq!(j2.lookup(7, TAG_FAULT).unwrap(), &["new".to_string()]);
+        let _ = fs::remove_file(&path);
+    }
+
+    /// Drives `items` `u64` items in chunks of `chunk` on one worker (so
+    /// the journal is in item order); item `i`'s value is `value(i)`,
+    /// and every range the driver hands the evaluator is recorded.
+    fn drive_u64(
+        items: usize,
+        chunk: usize,
+        memo: Option<&Memo<'_, u64, String>>,
+        value: impl Fn(usize) -> u64 + Sync,
+    ) -> (Result<Vec<u64>, String>, Vec<Range<usize>>) {
+        let calls = Mutex::new(Vec::new());
+        let out = run_items(
+            items,
+            chunk,
+            memo,
+            &Executor::new(1),
+            &Counter::noop(),
+            || {
+                Ok(|range: Range<usize>| {
+                    calls.lock().unwrap().push(range.clone());
+                    range.map(|i| Ok(value(i))).collect()
+                })
+            },
+            |i, message| Err(format!("item {i}: {message}")),
+        );
+        let mut calls = calls.into_inner().unwrap();
+        calls.sort_by_key(|r| (r.start, r.end));
+        (out, calls)
+    }
+
+    #[test]
+    fn driver_returns_results_in_item_order_with_a_ragged_tail() {
+        let (out, calls) = drive_u64(10, 4, None, |i| i as u64 + 100);
+        assert_eq!(out.unwrap(), (100..110).collect::<Vec<_>>());
+        assert_eq!(calls, vec![0..4, 4..8, 8..10]);
+        // Width 0 or 1 runs every item on its own.
+        for width in [0, 1] {
+            let (out, calls) = drive_u64(3, width, None, |i| i as u64);
+            assert_eq!(out.unwrap(), vec![0, 1, 2]);
+            assert_eq!(calls, vec![0..1, 1..2, 2..3]);
+        }
+    }
+
+    #[test]
+    fn a_panic_in_one_member_of_a_chunk_costs_only_that_member() {
+        let (out, calls) = drive_u64(3, 3, None, |i| {
+            if i == 1 {
+                panic!("member 1 blew up");
+            }
+            i as u64
+        });
+        let err = out.unwrap_err();
+        assert!(err.starts_with("item 1: member 1 blew up"), "{err}");
+        // The chunk ran once, then each member alone.
+        assert_eq!(calls, vec![0..1, 0..3, 1..2, 2..3]);
+
+        // With a mapping that keeps going, the batch-mates keep their
+        // values and only the panicking member is mapped.
+        let out = run_items(
+            3,
+            3,
+            None,
+            &Executor::new(1),
+            &Counter::noop(),
+            || {
+                Ok(|range: Range<usize>| {
+                    range
+                        .map(|i| {
+                            if i == 1 {
+                                panic!("member 1 blew up");
+                            }
+                            Ok::<u64, String>(i as u64)
+                        })
+                        .collect()
+                })
+            },
+            |_, _| Ok(u64::MAX),
+        );
+        assert_eq!(out.unwrap(), vec![0, u64::MAX, 2]);
+    }
+
+    fn u64_memo<'a>(
+        path: &Path,
+        hashes: Vec<u64>,
+        decode: &'a (dyn Fn(usize, &[String]) -> Option<u64> + Sync),
+        encode: &'a (dyn Fn(&u64) -> Option<Vec<String>> + Sync),
+    ) -> Memo<'a, u64, String> {
+        Memo::open(path, TAG_MC, hashes, decode, encode, |e| e).unwrap()
+    }
+
+    #[test]
+    fn driver_replays_whole_chunks_and_journals_only_final_results() {
+        let path = tmp_path("driver_replay");
+        let _ = fs::remove_file(&path);
+        let decode = |_: usize, fields: &[String]| fields[0].parse().ok();
+        // Odd values are "not final yet" and never reach the journal.
+        let encode = |v: &u64| v.is_multiple_of(2).then(|| vec![v.to_string()]);
+        let hashes: Vec<u64> = (0..6).map(|i| 0x100 + i).collect();
+        let value = |i: usize| 10 * i as u64;
+
+        let memo = u64_memo(&path, hashes.clone(), &decode, &encode);
+        let (out, calls) = drive_u64(6, 3, Some(&memo), value);
+        assert_eq!(out.unwrap(), vec![0, 10, 20, 30, 40, 50]);
+        assert_eq!(calls.len(), 2);
+        assert_eq!(Journal::open(&path).unwrap().len(), 6);
+
+        // Kill after four records: chunk 0 is whole, chunk 1 is not and
+        // re-runs in full (its journalled member demotes to a miss).
+        let text = fs::read_to_string(&path).unwrap();
+        let keep: Vec<&str> = text.lines().take(5).collect();
+        fs::write(&path, format!("{}\n", keep.join("\n"))).unwrap();
+        let memo = u64_memo(&path, hashes.clone(), &decode, &encode);
+        let (out, calls) = drive_u64(6, 3, Some(&memo), value);
+        assert_eq!(out.unwrap(), vec![0, 10, 20, 30, 40, 50]);
+        assert_eq!(calls, vec![3..6]);
+        assert_eq!(Journal::open(&path).unwrap().len(), 4 + 3);
+
+        // Fully journalled: the evaluator is never even built.
+        let memo = u64_memo(&path, hashes.clone(), &decode, &encode);
+        let built = std::cell::Cell::new(false);
+        let out = run_items(
+            6,
+            3,
+            Some(&memo),
+            &Executor::new(1),
+            &Counter::noop(),
+            || {
+                built.set(true);
+                Ok(|range: Range<usize>| range.map(|i| Ok(i as u64)).collect())
+            },
+            |_, m| Err(m),
+        );
+        assert_eq!(out.unwrap(), vec![0, 10, 20, 30, 40, 50]);
+        assert!(!built.get(), "set-up must not run");
+
+        // A result the encoder declines is not journalled: it re-runs.
+        let fresh: Vec<u64> = (0..4).map(|i| 0x200 + i).collect();
+        let memo = u64_memo(&path, fresh.clone(), &decode, &encode);
+        let (_, calls) = drive_u64(4, 1, Some(&memo), |i| i as u64);
+        assert_eq!(calls.len(), 4);
+        assert_eq!(Journal::open(&path).unwrap().len(), 7 + 2);
+        let memo = u64_memo(&path, fresh, &decode, &encode);
+        let (out, calls) = drive_u64(4, 1, Some(&memo), |i| i as u64);
+        assert_eq!(out.unwrap(), vec![0, 1, 2, 3]);
+        assert_eq!(calls, vec![1..2, 3..4]);
+        let _ = fs::remove_file(&path);
+    }
+
+    #[test]
+    fn a_selected_view_journals_without_replaying() {
+        let path = tmp_path("driver_select");
+        let _ = fs::remove_file(&path);
+        let decode = |_: usize, fields: &[String]| fields[0].parse().ok();
+        let encode = |v: &u64| Some(vec![v.to_string()]);
+        let memo = u64_memo(&path, vec![0x10, 0x11, 0x12], &decode, &encode);
+        drive_u64(3, 1, Some(&memo), |i| i as u64).0.unwrap();
+
+        // A later pass over items 2 and 0 runs both although both are
+        // journalled, and its records supersede theirs.
+        let view = memo.select(&[2, 0]);
+        let (out, calls) = drive_u64(2, 1, Some(&view), |k| 100 + k as u64);
+        assert_eq!(out.unwrap(), vec![100, 101]);
+        assert_eq!(calls, vec![0..1, 1..2]);
+        let journal = Journal::open(&path).unwrap();
+        assert_eq!(journal.len(), 5);
+        assert_eq!(journal.lookup(0x12, TAG_MC).unwrap(), &["100".to_string()]);
+        assert_eq!(journal.lookup(0x10, TAG_MC).unwrap(), &["101".to_string()]);
+        assert_eq!(journal.lookup(0x11, TAG_MC).unwrap(), &["1".to_string()]);
         let _ = fs::remove_file(&path);
     }
 

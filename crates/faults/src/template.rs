@@ -16,7 +16,7 @@
 //!   change the topology (an extra bridge resistor, a removed
 //!   transistor) simply miss the cache and get a fresh analysis —
 //!   correctness never depends on the cache's hit rate.
-//! * **Batched solving** — [`transient_batch`](SimTemplate::transient_batch)
+//! * **Batched solving** — [`transient_batch_opts`](SimTemplate::transient_batch_opts)
 //!   hands a whole slice of value-variant circuits to the spice crate's
 //!   [`BatchSim`](clocksense_spice::BatchSim) kernel, which packs
 //!   structurally aligned variants into one structure-of-arrays Newton
@@ -25,22 +25,15 @@
 //!   convergence masks so a variant that fails drops out to the scalar
 //!   path without poisoning its batch-mates.
 //!
-//! The campaign drives both through *per-item* options: since the
-//! retry/quarantine pass landed, every item carries its own
-//! [`SimOptions`] — a fresh per-item deadline token on the first pass,
-//! and relaxed settings (more Newton iterations, a finer step, backward
-//! Euler) on the retry pass — while all passes share this template's
-//! symbolic cache. The `_opts` methods are that entry point; the
-//! plain methods use the template's baseline options.
-//!
-//! With the default [`Dense`](SolverKind::Dense) backend the template is
-//! a plain pass-through to the uncached scalar entry points; there is no
-//! symbolic structure to share and no batching.
+//! Every call takes its own [`SimOptions`] (a campaign item's deadline
+//! token, or the retry pass's relaxed settings) while all calls share the
+//! cache; on the [`Dense`](clocksense_spice::SolverKind::Dense) backend
+//! the cache is left alone and nothing batches.
 
 use clocksense_netlist::Circuit;
 use clocksense_spice::{
-    dc_operating_point, dc_operating_point_cached, iddq, iddq_cached, transient, transient_batch,
-    transient_cached, DcSolution, SimOptions, SolverKind, SpiceError, SymbolicCache, TranResult,
+    dc_operating_point_cached, iddq_cached, transient_batch, transient_cached, DcSolution,
+    SimOptions, SpiceError, SymbolicCache, TranResult,
 };
 
 /// Builds the simulation engine's per-topology structure once and shares
@@ -78,25 +71,14 @@ impl SimTemplate {
         }
     }
 
-    /// The simulator options every run of this template uses.
+    /// The baseline options this template was built with; every
+    /// simulation call takes its own.
     pub fn options(&self) -> &SimOptions {
         &self.opts
     }
 
-    /// Transient analysis of `circuit`, sharing this template's symbolic
-    /// structures. See [`clocksense_spice::transient`].
-    ///
-    /// # Errors
-    ///
-    /// Same as [`clocksense_spice::transient`].
-    pub fn transient(&self, circuit: &Circuit, t_stop: f64) -> Result<TranResult, SpiceError> {
-        self.transient_opts(circuit, t_stop, &self.opts)
-    }
-
-    /// [`transient`](SimTemplate::transient) with caller-supplied options
-    /// — the campaign's per-item entry: each item carries its own
-    /// [`SimOptions`] (a fresh deadline token, or the relaxed retry
-    /// settings) while still sharing this template's symbolic cache.
+    /// Transient analysis of `circuit` on `opts`, sharing this template's
+    /// symbolic cache. See [`clocksense_spice::transient_cached`].
     ///
     /// # Errors
     ///
@@ -107,22 +89,19 @@ impl SimTemplate {
         t_stop: f64,
         opts: &SimOptions,
     ) -> Result<TranResult, SpiceError> {
-        match opts.solver {
-            SolverKind::Dense => transient(circuit, t_stop, opts),
-            SolverKind::Sparse => transient_cached(circuit, t_stop, opts, &self.cache),
-        }
+        transient_cached(circuit, t_stop, opts, &self.cache)
     }
 
     /// Batched transient analysis of several value-variant circuits at
-    /// once, sharing this template's symbolic cache. See
-    /// [`clocksense_spice::transient_batch`].
+    /// once, with caller-supplied options, sharing this template's
+    /// symbolic cache. See [`clocksense_spice::transient_batch`].
     ///
-    /// With the [`Sparse`](SolverKind::Sparse) backend and
-    /// `opts.batch >= 2`, structurally aligned circuits are packed into
-    /// the structure-of-arrays batch kernel; anything the kernel cannot
-    /// batch (misaligned structures, singleton groups, a variant that
-    /// fails mid-batch) falls back to the scalar cached path per
-    /// variant. With the dense backend every circuit runs scalar.
+    /// With the [`Sparse`](clocksense_spice::SolverKind::Sparse) backend
+    /// and `opts.batch >= 2`, structurally aligned circuits are packed
+    /// into the structure-of-arrays batch kernel; anything the kernel
+    /// cannot batch (the dense backend, misaligned structures, singleton
+    /// groups, a variant that fails mid-batch) runs the scalar cached
+    /// path per variant.
     ///
     /// Each slot of the returned `Vec` holds that circuit's own result
     /// or its own structured error — one variant failing never poisons
@@ -141,7 +120,7 @@ impl SimTemplate {
     ///     batch: 4,
     ///     ..SimOptions::default()
     /// };
-    /// let tpl = SimTemplate::new(opts);
+    /// let tpl = SimTemplate::new(opts.clone());
     /// let variants: Vec<Circuit> = [1e3, 2e3, 5e3]
     ///     .iter()
     ///     .map(|&r| {
@@ -154,7 +133,7 @@ impl SimTemplate {
     ///         Ok(ckt)
     ///     })
     ///     .collect::<Result<_, Box<dyn std::error::Error>>>()?;
-    /// let results = tpl.transient_batch(&variants, 1e-9);
+    /// let results = tpl.transient_batch_opts(&variants, 1e-9, &opts);
     /// assert_eq!(results.len(), 3);
     /// for r in &results {
     ///     assert!(r.is_ok());
@@ -162,46 +141,19 @@ impl SimTemplate {
     /// # Ok(())
     /// # }
     /// ```
-    pub fn transient_batch(
-        &self,
-        circuits: &[Circuit],
-        t_stop: f64,
-    ) -> Vec<Result<TranResult, SpiceError>> {
-        self.transient_batch_opts(circuits, t_stop, &self.opts)
-    }
-
-    /// [`transient_batch`](SimTemplate::transient_batch) with
-    /// caller-supplied options; see
-    /// [`transient_opts`](SimTemplate::transient_opts) for why campaign
-    /// items carry their own options.
     pub fn transient_batch_opts(
         &self,
         circuits: &[Circuit],
         t_stop: f64,
         opts: &SimOptions,
     ) -> Vec<Result<TranResult, SpiceError>> {
-        match opts.solver {
-            SolverKind::Dense => circuits
-                .iter()
-                .map(|ckt| transient(ckt, t_stop, opts))
-                .collect(),
-            SolverKind::Sparse => transient_batch(circuits, t_stop, opts, &self.cache),
-        }
+        transient_batch(circuits, t_stop, opts, &self.cache)
     }
 
-    /// DC operating point of `circuit`, sharing symbolic structures. See
-    /// [`clocksense_spice::dc_operating_point`].
-    ///
-    /// # Errors
-    ///
-    /// Same as [`clocksense_spice::dc_operating_point`].
-    pub fn dc_operating_point(&self, circuit: &Circuit) -> Result<DcSolution, SpiceError> {
-        self.dc_operating_point_opts(circuit, &self.opts)
-    }
-
-    /// [`dc_operating_point`](SimTemplate::dc_operating_point) with
-    /// caller-supplied options; see
-    /// [`transient_opts`](SimTemplate::transient_opts).
+    /// DC operating point of `circuit` with caller-supplied options,
+    /// sharing symbolic structures; see
+    /// [`transient_opts`](SimTemplate::transient_opts) and
+    /// [`clocksense_spice::dc_operating_point_cached`].
     ///
     /// # Errors
     ///
@@ -211,24 +163,13 @@ impl SimTemplate {
         circuit: &Circuit,
         opts: &SimOptions,
     ) -> Result<DcSolution, SpiceError> {
-        match opts.solver {
-            SolverKind::Dense => dc_operating_point(circuit, opts),
-            SolverKind::Sparse => dc_operating_point_cached(circuit, opts, &self.cache),
-        }
+        dc_operating_point_cached(circuit, opts, &self.cache)
     }
 
-    /// Quiescent supply current of `circuit`, sharing symbolic
-    /// structures. See [`clocksense_spice::iddq`].
-    ///
-    /// # Errors
-    ///
-    /// Same as [`clocksense_spice::iddq`].
-    pub fn iddq(&self, circuit: &Circuit, supply: &str) -> Result<f64, SpiceError> {
-        self.iddq_opts(circuit, supply, &self.opts)
-    }
-
-    /// [`iddq`](SimTemplate::iddq) with caller-supplied options; see
-    /// [`transient_opts`](SimTemplate::transient_opts).
+    /// Quiescent supply current of `circuit` with caller-supplied
+    /// options, sharing symbolic structures; see
+    /// [`transient_opts`](SimTemplate::transient_opts) and
+    /// [`clocksense_spice::iddq_cached`].
     ///
     /// # Errors
     ///
@@ -239,10 +180,7 @@ impl SimTemplate {
         supply: &str,
         opts: &SimOptions,
     ) -> Result<f64, SpiceError> {
-        match opts.solver {
-            SolverKind::Dense => iddq(circuit, supply, opts),
-            SolverKind::Sparse => iddq_cached(circuit, supply, opts, &self.cache),
-        }
+        iddq_cached(circuit, supply, opts, &self.cache)
     }
 
     /// `(hits, misses)` of the symbolic cache so far. Dense runs always
@@ -261,6 +199,7 @@ impl SimTemplate {
 mod tests {
     use super::*;
     use clocksense_netlist::{SourceWave, GROUND};
+    use clocksense_spice::SolverKind;
 
     fn rc_bench(r: f64) -> Circuit {
         let mut ckt = Circuit::new();
@@ -276,8 +215,10 @@ mod tests {
     #[test]
     fn dense_template_is_a_pass_through() {
         let tpl = SimTemplate::new(SimOptions::default());
-        tpl.transient(&rc_bench(1e3), 1e-9).unwrap();
-        tpl.dc_operating_point(&rc_bench(1e3)).unwrap();
+        tpl.transient_opts(&rc_bench(1e3), 1e-9, tpl.options())
+            .unwrap();
+        tpl.dc_operating_point_opts(&rc_bench(1e3), tpl.options())
+            .unwrap();
         assert_eq!(tpl.cache_stats(), (0, 0));
         assert_eq!(tpl.topologies(), 0);
     }
@@ -290,7 +231,8 @@ mod tests {
         });
         // Three value-only variants of one topology: one analysis.
         for r in [1e3, 2e3, 5e3] {
-            tpl.transient(&rc_bench(r), 1e-10).unwrap();
+            tpl.transient_opts(&rc_bench(r), 1e-10, tpl.options())
+                .unwrap();
         }
         let (hits, misses) = tpl.cache_stats();
         assert_eq!(misses, 1, "one distinct topology");
@@ -304,13 +246,14 @@ mod tests {
             solver: SolverKind::Sparse,
             ..SimOptions::default()
         });
-        tpl.transient(&rc_bench(1e3), 1e-10).unwrap();
+        tpl.transient_opts(&rc_bench(1e3), 1e-10, tpl.options())
+            .unwrap();
         // A resistor to ground on an existing node adds no new stamp
         // positions — the structure is legitimately shared.
         let mut grounded = rc_bench(1e3);
         let out = grounded.node("out");
         grounded.add_resistor("rb", out, GROUND, 1e6).unwrap();
-        tpl.transient(&grounded, 1e-10).unwrap();
+        tpl.transient_opts(&grounded, 1e-10, tpl.options()).unwrap();
         assert_eq!(tpl.topologies(), 1, "same pattern, same structure");
         // An extra internal node does change the pattern: fresh build.
         let mut extended = rc_bench(1e3);
@@ -318,7 +261,7 @@ mod tests {
         let mid = extended.node("mid");
         extended.add_resistor("r2", out, mid, 1e3).unwrap();
         extended.add_capacitor("c2", mid, GROUND, 1e-13).unwrap();
-        tpl.transient(&extended, 1e-10).unwrap();
+        tpl.transient_opts(&extended, 1e-10, tpl.options()).unwrap();
         assert_eq!(tpl.topologies(), 2);
     }
 
@@ -334,22 +277,22 @@ mod tests {
             ..SimOptions::default()
         });
         let variants: Vec<Circuit> = [1e3, 2e3, 5e3].iter().map(|&r| rc_bench(r)).collect();
-        let batch_results = batched.transient_batch(&variants, 1e-9);
+        let batch_results = batched.transient_batch_opts(&variants, 1e-9, batched.options());
         for (ckt, br) in variants.iter().zip(&batch_results) {
             let b = br.as_ref().unwrap();
-            let s = scalar.transient(ckt, 1e-9).unwrap();
+            let s = scalar.transient_opts(ckt, 1e-9, scalar.options()).unwrap();
             let diff = b
                 .waveform_named("out")
                 .unwrap()
                 .max_abs_difference(&s.waveform_named("out").unwrap());
             assert!(diff < 1e-9, "batched vs scalar diverged: {diff}");
         }
-        // Dense routes every circuit through the scalar dense engine.
+        // Dense runs every circuit on the scalar dense engine.
         let dense = SimTemplate::new(SimOptions {
             batch: 4,
             ..SimOptions::default()
         });
-        let dense_results = dense.transient_batch(&variants, 1e-9);
+        let dense_results = dense.transient_batch_opts(&variants, 1e-9, dense.options());
         assert!(dense_results.iter().all(Result::is_ok));
         assert_eq!(dense.cache_stats(), (0, 0));
     }
@@ -362,8 +305,12 @@ mod tests {
             ..SimOptions::default()
         });
         let ckt = rc_bench(1e3);
-        let d = dense.dc_operating_point(&ckt).unwrap();
-        let s = sparse.dc_operating_point(&ckt).unwrap();
+        let d = dense
+            .dc_operating_point_opts(&ckt, dense.options())
+            .unwrap();
+        let s = sparse
+            .dc_operating_point_opts(&ckt, sparse.options())
+            .unwrap();
         for (dv, sv) in d.as_vector().iter().zip(s.as_vector()) {
             assert!((dv - sv).abs() < 1e-9, "dense {dv} vs sparse {sv}");
         }

@@ -1,14 +1,16 @@
 //! The Monte-Carlo scatter experiment (paper Fig. 5).
 
-use std::path::{Path, PathBuf};
-use std::sync::Mutex;
+use std::ops::Range;
+use std::path::PathBuf;
 
 use clocksense_core::{observation_end, ClockPair, CoreError, SensingCircuit, SensorBuilder};
 use clocksense_exec::Executor;
-use clocksense_faults::checkpoint::{parse_f64_bits, sim_options_fingerprint, Journal, TAG_MC};
+use clocksense_faults::checkpoint::{
+    parse_f64_bits, run_items, sim_options_fingerprint, Memo, TAG_MC,
+};
 use clocksense_netlist::{canonical_form, f64_bits, fnv1a, Circuit, FNV_OFFSET};
 use clocksense_spice::{
-    transient_batch, transient_observed, SimOptions, SolverKind, SymbolicCache, TranResult,
+    transient_batch, transient_observed, SimOptions, SymbolicCache, TranResult,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -143,69 +145,39 @@ fn classify_sample(p: &PreparedSample, result: &TranResult) -> McSample {
     }
 }
 
-fn one_sample(
-    builder: &SensorBuilder,
-    clocks: &ClockPair,
-    tau: f64,
-    cfg: &McConfig,
-    index: u64,
-    cache: &SymbolicCache,
-) -> Result<McSample, CoreError> {
-    let (bench, p) = prepare_sample(builder, clocks, tau, cfg, index)?;
-    // Classification reads nothing past the observation window: stop the
-    // full-length run there (a bit-identical prefix of it).
-    let result = transient_observed(
-        &bench,
-        p.clocks.sim_stop_time(),
-        observation_end(&p.clocks, p.sensor.edge()),
-        &cfg.sim,
-        cache,
-    )?;
-    Ok(classify_sample(&p, &result))
-}
-
 /// Prepares, batch-simulates and classifies one contiguous chunk of
 /// samples. Every perturbed bench is a value-only variant of one
 /// topology, so the whole chunk packs into a single structure-of-arrays
 /// solve; the chunk simulates to the latest stop time of its members
 /// (`sim_stop_time` varies with the drawn skew and slews), which only
 /// extends shorter samples past their observation windows. A sample
-/// whose construction or simulation fails carries its own error in its
-/// slot; it neither sinks the chunk nor its batch-mates.
+/// whose simulation fails carries its own error in its slot; it does not
+/// sink its batch-mates. A bench that cannot be built fails every slot.
 fn chunk_of_samples(
     builder: &SensorBuilder,
     clocks: &ClockPair,
     taus: &[f64],
     cfg: &McConfig,
-    range: std::ops::Range<usize>,
+    range: Range<usize>,
     cache: &SymbolicCache,
 ) -> Vec<Result<McSample, CoreError>> {
-    let mut out: Vec<Option<Result<McSample, CoreError>>> = range.clone().map(|_| None).collect();
-    let mut benches = Vec::new();
-    let mut prepared = Vec::new();
-    for (k, i) in range.enumerate() {
-        let tau = taus[i % taus.len()];
-        match prepare_sample(builder, clocks, tau, cfg, i as u64) {
-            Ok((bench, p)) => {
-                benches.push(bench);
-                prepared.push((k, p));
-            }
-            Err(e) => out[k] = Some(Err(e)),
-        }
-    }
+    let n = range.len();
+    let prepared = range
+        .map(|i| prepare_sample(builder, clocks, taus[i % taus.len()], cfg, i as u64))
+        .collect::<Result<Vec<_>, CoreError>>();
+    let (benches, prepared): (Vec<Circuit>, Vec<PreparedSample>) = match prepared {
+        Ok(prepared) => prepared.into_iter().unzip(),
+        Err(e) => return vec![Err(e); n],
+    };
     let t_stop = prepared
         .iter()
-        .map(|(_, p)| p.clocks.sim_stop_time())
+        .map(|p| p.clocks.sim_stop_time())
         .fold(0.0f64, f64::max);
     let results = transient_batch(&benches, t_stop, &cfg.sim, cache);
-    for ((k, p), res) in prepared.iter().zip(results) {
-        out[*k] = Some(match res {
-            Ok(result) => Ok(classify_sample(p, &result)),
-            Err(e) => Err(CoreError::from(e)),
-        });
-    }
-    out.into_iter()
-        .map(|slot| slot.expect("every chunk slot is filled"))
+    prepared
+        .iter()
+        .zip(results)
+        .map(|(p, result)| Ok(classify_sample(p, &result?)))
         .collect()
 }
 
@@ -213,10 +185,13 @@ fn chunk_of_samples(
 /// simulated at one skew from `taus` (cycled in order, so every skew value
 /// receives an equal share of samples).
 ///
-/// Each scalar sample (every sample unless `batch >= 2` on the sparse
-/// solver) plans its transient to `sim_stop_time` but stops it at the
-/// sensor's [`observation_end`], the last instant the classification
-/// reads; its observation is bit-identical to the full-length run's.
+/// Each scalar sample (every sample unless the options have a
+/// [`lane_chunk`](SimOptions::lane_chunk)) plans its transient to
+/// `sim_stop_time` but stops it at the sensor's [`observation_end`], the
+/// last instant the classification reads; its observation is
+/// bit-identical to the full-length run's. With a checkpoint journal,
+/// finished samples are journalled and replayed through the shared item
+/// driver ([`run_items`]).
 ///
 /// # Errors
 ///
@@ -240,33 +215,86 @@ pub fn run_scatter(
     // with the sparse backend the whole scatter shares a single symbolic
     // analysis through this cache (the dense backend ignores it).
     let cache = SymbolicCache::new();
-    // With a batch width configured, workers claim whole chunks and run
-    // each chunk through the spice crate's batched variant kernel — one
+    // With a lane chunk, workers claim whole lane-aligned chunks and run
+    // each through the spice crate's batched variant kernel — one
     // baseline stamp and one factorisation pattern per step serve the
     // entire chunk. Scalar per-sample scheduling otherwise.
-    let samples = if let Some(path) = &cfg.checkpoint {
-        scatter_checkpointed(builder, clocks, taus, cfg, path, &cache)
-    } else if cfg.sim.batch >= 2 && cfg.sim.solver == SolverKind::Sparse {
-        // Chunks are lane-aligned (`lane_chunk` rounds the configured
-        // width up to whole SIMD lane blocks) so only the final chunk
-        // of the scatter can carry padding lanes.
-        scatter_records_chunked(cfg.samples, cfg.sim.lane_chunk(), cfg.threads, |range| {
-            chunk_of_samples(builder, clocks, taus, cfg, range, &cache)
-        })
+    let chunk = cfg.sim.lane_chunk().max(1);
+    // With a journal, hash every slot up front (preparing a bench is
+    // cheap next to a transient solve) and keep its drawn parameters to
+    // cross-check replayed records against.
+    let (hashes, drawn): (Vec<u64>, Vec<(f64, f64, f64)>) = if cfg.checkpoint.is_some() {
+        (0..cfg.samples)
+            .map(|i| {
+                let (bench, p) =
+                    prepare_sample(builder, clocks, taus[i % taus.len()], cfg, i as u64)?;
+                Ok((sample_hash(&bench, &p, cfg), (p.tau, p.slew1, p.slew2)))
+            })
+            .collect::<Result<Vec<_>, CoreError>>()?
+            .into_iter()
+            .unzip()
     } else {
-        scatter_records(cfg.samples, cfg.threads, |i| {
-            let tau = taus[i % taus.len()];
-            one_sample(builder, clocks, tau, cfg, i as u64, &cache)
-        })
+        (Vec::new(), Vec::new())
     };
+    let decode = |i: usize, fields: &[String]| decode_mc_sample(fields, *drawn.get(i)?);
+    let encode = |s: &McSample| Some(encode_mc_sample(s));
+    let memo = cfg
+        .checkpoint
+        .as_ref()
+        .map(|path| {
+            Memo::open(
+                path,
+                TAG_MC,
+                hashes,
+                &decode,
+                &encode,
+                CoreError::Checkpoint,
+            )
+        })
+        .transpose()?;
+    let tele = clocksense_telemetry::global().scope("montecarlo");
+    let samples = run_items(
+        cfg.samples,
+        chunk,
+        memo.as_ref(),
+        &Executor::new(cfg.threads).with_telemetry(tele.clone()),
+        &tele.counter("samples"),
+        || {
+            Ok(|range: Range<usize>| {
+                if chunk > 1 {
+                    chunk_of_samples(builder, clocks, taus, cfg, range, &cache)
+                } else {
+                    // Classification reads nothing past the observation
+                    // window: stop the full-length run there (a
+                    // bit-identical prefix of it).
+                    range
+                        .map(|i| {
+                            let tau = taus[i % taus.len()];
+                            let (bench, p) = prepare_sample(builder, clocks, tau, cfg, i as u64)?;
+                            let t_observe = observation_end(&p.clocks, p.sensor.edge());
+                            let t_stop = p.clocks.sim_stop_time();
+                            let result =
+                                transient_observed(&bench, t_stop, t_observe, &cfg.sim, &cache)?;
+                            Ok(classify_sample(&p, &result))
+                        })
+                        .collect()
+                }
+            })
+        },
+        worker_panic,
+    );
     if let Ok(samples) = &samples {
         let detected = samples.iter().filter(|s| s.detected).count();
-        clocksense_telemetry::global()
-            .scope("montecarlo")
-            .counter("detected")
-            .add(detected as u64);
+        tele.counter("detected").add(detected as u64);
     }
     samples
+}
+
+/// The scatter's panic policy: a sample whose simulation panicked fails
+/// the run as [`CoreError::WorkerPanic`] — a corrupted statistic must
+/// not silently bias Tab. 1.
+fn worker_panic(_: usize, message: String) -> Result<McSample, CoreError> {
+    Err(CoreError::WorkerPanic(message))
 }
 
 /// Serialises one finished [`McSample`] into journal fields:
@@ -285,7 +313,7 @@ fn encode_mc_sample(s: &McSample) -> Vec<String> {
 /// stored drawn parameters against what this run drew for the slot — a
 /// hash collision or aliased entry decodes to `None` and becomes a memo
 /// miss, never a wrong observation.
-fn decode_mc_sample(fields: &[String], p: &PreparedSample) -> Option<McSample> {
+fn decode_mc_sample(fields: &[String], drawn: (f64, f64, f64)) -> Option<McSample> {
     if fields.len() != 5 {
         return None;
     }
@@ -298,9 +326,9 @@ fn decode_mc_sample(fields: &[String], p: &PreparedSample) -> Option<McSample> {
     };
     let slew1 = parse_f64_bits(&fields[3])?;
     let slew2 = parse_f64_bits(&fields[4])?;
-    let same = tau.to_bits() == p.tau.to_bits()
-        && slew1.to_bits() == p.slew1.to_bits()
-        && slew2.to_bits() == p.slew2.to_bits();
+    let same = tau.to_bits() == drawn.0.to_bits()
+        && slew1.to_bits() == drawn.1.to_bits()
+        && slew2.to_bits() == drawn.2.to_bits();
     same.then_some(McSample {
         tau,
         vmin,
@@ -332,189 +360,15 @@ fn sample_hash(bench: &Circuit, p: &PreparedSample, cfg: &McConfig) -> u64 {
     fnv1a(h, extra.as_bytes())
 }
 
-/// [`run_scatter`] with a checkpoint journal: replays journalled samples
-/// as memo hits and simulates only the remainder, journalling each fresh
-/// observation as it completes so an interrupted scatter resumes where
-/// it died.
-///
-/// On the batched path replay is chunk-granular at the *original* chunk
-/// boundaries: the batch kernel simulates each chunk on the union grid
-/// of its members, so a partially-journalled chunk re-runs whole (its
-/// journalled members demote to misses) — re-packing survivors into new
-/// chunks would change the shared grid and move every member's `vmin`.
-fn scatter_checkpointed(
-    builder: &SensorBuilder,
-    clocks: &ClockPair,
-    taus: &[f64],
-    cfg: &McConfig,
-    path: &Path,
-    cache: &SymbolicCache,
-) -> Result<Vec<McSample>, CoreError> {
-    let n = cfg.samples;
-    let checkpoint_err =
-        |e: std::io::Error| CoreError::Checkpoint(format!("{}: {e}", path.display()));
-    let journal = Journal::open(path).map_err(checkpoint_err)?;
-    // Replay pass: hash every slot (preparing a bench is cheap next to a
-    // transient solve) and pull finished observations from the journal.
-    let mut hashes = Vec::with_capacity(n);
-    let mut replayed: Vec<Option<McSample>> = Vec::with_capacity(n);
-    for i in 0..n {
-        let tau = taus[i % taus.len()];
-        let (bench, p) = prepare_sample(builder, clocks, tau, cfg, i as u64)?;
-        let hash = sample_hash(&bench, &p, cfg);
-        let hit = journal
-            .lookup(hash, TAG_MC)
-            .and_then(|fields| decode_mc_sample(fields, &p));
-        hashes.push(hash);
-        replayed.push(hit);
-    }
-    let chunked = cfg.sim.batch >= 2 && cfg.sim.solver == SolverKind::Sparse;
-    // Same lane-aligned width as the live scatter: replay granularity
-    // must match the boundaries the fresh run would use.
-    let chunk = cfg.sim.lane_chunk();
-    if chunked {
-        for c in 0..n.div_ceil(chunk) {
-            let range = c * chunk..((c + 1) * chunk).min(n);
-            if replayed[range.clone()].iter().any(Option::is_none) {
-                for slot in &mut replayed[range] {
-                    *slot = None;
-                }
-            }
-        }
-    }
-    let fresh: Vec<usize> = (0..n).filter(|&i| replayed[i].is_none()).collect();
-    let hits = n - fresh.len();
-    let ckpt = clocksense_telemetry::global().scope("checkpoint");
-    ckpt.counter("items_total").add(n as u64);
-    ckpt.counter("memo_hits").add(hits as u64);
-    ckpt.counter("memo_misses").add(fresh.len() as u64);
-    ckpt.counter("records_replayed").add(hits as u64);
-
-    let journal = Mutex::new(journal);
-    let append = |i: usize, s: &McSample| -> Result<(), CoreError> {
-        journal
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .append(hashes[i], TAG_MC, &encode_mc_sample(s))
-            .map_err(checkpoint_err)
-    };
-    let tele = clocksense_telemetry::global().scope("montecarlo");
-    let samples_run = tele.counter("samples");
-    let fresh_results: Vec<Result<McSample, CoreError>> = if chunked {
-        // Whole chunks were demoted above, so the work list is exactly
-        // the chunks containing any miss, each re-run in full.
-        let work: Vec<usize> = (0..n.div_ceil(chunk))
-            .filter(|&c| {
-                let range = c * chunk..((c + 1) * chunk).min(n);
-                replayed[range].iter().any(Option::is_none)
-            })
-            .collect();
-        let outcomes = Executor::new(cfg.threads)
-            .with_telemetry(tele)
-            .run_indexed(&work, |c| {
-                let range = c * chunk..((c + 1) * chunk).min(n);
-                let base = range.start;
-                chunk_of_samples(builder, clocks, taus, cfg, range, cache)
-                    .into_iter()
-                    .enumerate()
-                    .map(|(k, res)| {
-                        let sample = res?;
-                        append(base + k, &sample)?;
-                        Ok(sample)
-                    })
-                    .collect::<Vec<Result<McSample, CoreError>>>()
-            });
-        let mut flat = Vec::with_capacity(fresh.len());
-        for (&c, outcome) in work.iter().zip(outcomes) {
-            let range = c * chunk..((c + 1) * chunk).min(n);
-            match outcome {
-                Ok(results) => flat.extend(results),
-                Err(panic) => {
-                    flat.extend(range.map(|_| Err(CoreError::WorkerPanic(panic.message.clone()))))
-                }
-            }
-        }
-        flat
-    } else {
-        Executor::new(cfg.threads)
-            .with_telemetry(tele)
-            .run_indexed(&fresh, |i| {
-                let tau = taus[i % taus.len()];
-                let sample = one_sample(builder, clocks, tau, cfg, i as u64, cache)?;
-                append(i, &sample)?;
-                Ok(sample)
-            })
-            .into_iter()
-            .map(|outcome| match outcome {
-                Ok(result) => result,
-                Err(panic) => Err(CoreError::WorkerPanic(panic.message)),
-            })
-            .collect()
-    };
-    samples_run.add(fresh.len() as u64);
-    let mut fresh_iter = fresh_results.into_iter();
-    (0..n)
-        .map(|i| match replayed[i].take() {
-            Some(sample) => Ok(sample),
-            None => fresh_iter.next().expect("one fresh result per miss"),
-        })
-        .collect()
-}
-
-/// Runs `sample` for every index through the shared executor and applies
-/// the scatter's error policy: the first per-sample error (in sample
-/// order) aborts the run, and a panicking sample is converted into
-/// [`CoreError::WorkerPanic`] rather than poisoning the whole batch.
-///
-/// Factored out of [`run_scatter`] so the panic policy is testable with an
-/// injected sampler.
-fn scatter_records(
-    n: usize,
-    threads: usize,
-    sample: impl Fn(usize) -> Result<McSample, CoreError> + Sync,
-) -> Result<Vec<McSample>, CoreError> {
-    let tele = clocksense_telemetry::global().scope("montecarlo");
-    let samples_run = tele.counter("samples");
-    let outcomes = Executor::new(threads).with_telemetry(tele).run(n, sample);
-    samples_run.add(n as u64);
-    outcomes
-        .into_iter()
-        .map(|outcome| match outcome {
-            Ok(result) => result,
-            Err(panic) => Err(CoreError::WorkerPanic(panic.message)),
-        })
-        .collect()
-}
-
-/// [`scatter_records`] for the batched path: chunks of `chunk` samples
-/// are claimed whole by workers, and the same error policy applies —
-/// first per-sample error (in sample order) aborts, a panicking chunk
-/// degrades to [`CoreError::WorkerPanic`] on each of its samples.
-fn scatter_records_chunked(
-    n: usize,
-    chunk: usize,
-    threads: usize,
-    job: impl Fn(std::ops::Range<usize>) -> Vec<Result<McSample, CoreError>> + Sync,
-) -> Result<Vec<McSample>, CoreError> {
-    let tele = clocksense_telemetry::global().scope("montecarlo");
-    let samples_run = tele.counter("samples");
-    let outcomes = Executor::new(threads)
-        .with_telemetry(tele)
-        .run_chunked(n, chunk, job);
-    samples_run.add(n as u64);
-    outcomes
-        .into_iter()
-        .map(|outcome| match outcome {
-            Ok(result) => result,
-            Err(panic) => Err(CoreError::WorkerPanic(panic.message)),
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use clocksense_core::Technology;
+    use clocksense_spice::SolverKind;
+
+    fn journal_len(path: &std::path::Path) -> usize {
+        clocksense_faults::Journal::open(path).unwrap().len()
+    }
 
     fn quick_cfg(samples: usize) -> McConfig {
         McConfig {
@@ -656,25 +510,25 @@ mod tests {
         };
         let full = run_scatter(&builder, &clocks, &taus, &ckpt_cfg).unwrap();
         assert_eq!(full, golden, "checkpointing must not change observations");
-        assert_eq!(Journal::open(&path).unwrap().len(), 4);
+        assert_eq!(journal_len(&path), 4);
         // Kill at 50%: keep the header and the first two records.
         let text = std::fs::read_to_string(&path).unwrap();
         let keep: Vec<&str> = text.lines().take(3).collect();
         std::fs::write(&path, format!("{}\n", keep.join("\n"))).unwrap();
         let resumed = run_scatter(&builder, &clocks, &taus, &ckpt_cfg).unwrap();
         assert_eq!(resumed, golden, "resume must be byte-identical");
-        assert_eq!(Journal::open(&path).unwrap().len(), 4);
+        assert_eq!(journal_len(&path), 4);
         // Unchanged re-run: pure memo hits, no journal growth.
         let rerun = run_scatter(&builder, &clocks, &taus, &ckpt_cfg).unwrap();
         assert_eq!(rerun, golden);
-        assert_eq!(Journal::open(&path).unwrap().len(), 4);
+        assert_eq!(journal_len(&path), 4);
         // A different seed moves every sample's hash: full re-simulation.
         let moved = McConfig {
             seed: ckpt_cfg.seed ^ 1,
             ..ckpt_cfg
         };
         run_scatter(&builder, &clocks, &taus, &moved).unwrap();
-        assert_eq!(Journal::open(&path).unwrap().len(), 8);
+        assert_eq!(journal_len(&path), 8);
         let _ = std::fs::remove_file(&path);
     }
 
@@ -698,7 +552,7 @@ mod tests {
         cfg.checkpoint = Some(path.clone());
         assert_eq!(cfg.sim.lane_chunk(), 8);
         let golden = run_scatter(&builder, &clocks, &taus, &cfg).unwrap();
-        assert_eq!(Journal::open(&path).unwrap().len(), 10);
+        assert_eq!(journal_len(&path), 10);
         // Tear mid-second-chunk: chunk 0 complete, chunk 1 partial. The
         // partial chunk must re-run whole on its original grid — its one
         // journalled member demotes to a miss and is re-appended.
@@ -707,7 +561,7 @@ mod tests {
         std::fs::write(&path, format!("{}\n", keep.join("\n"))).unwrap();
         let resumed = run_scatter(&builder, &clocks, &taus, &cfg).unwrap();
         assert_eq!(resumed, golden, "chunked resume must be byte-identical");
-        assert_eq!(Journal::open(&path).unwrap().len(), 9 + 2);
+        assert_eq!(journal_len(&path), 9 + 2);
         let _ = std::fs::remove_file(&path);
     }
 
@@ -720,21 +574,35 @@ mod tests {
             slew1: 0.2e-9,
             slew2: 0.2e-9,
         };
-        let err = scatter_records(5, 2, |i| {
-            if i == 3 {
-                panic!("injected sampler panic");
-            }
-            Ok(dummy)
-        })
-        .unwrap_err();
-        match err {
+        let drive = |panic_at: Option<usize>| {
+            run_items(
+                5,
+                1,
+                None,
+                &Executor::new(2),
+                &clocksense_telemetry::Counter::noop(),
+                || {
+                    Ok(move |range: Range<usize>| {
+                        range
+                            .map(|i| {
+                                if Some(i) == panic_at {
+                                    panic!("injected sampler panic");
+                                }
+                                Ok(dummy)
+                            })
+                            .collect()
+                    })
+                },
+                worker_panic,
+            )
+        };
+        match drive(Some(3)).unwrap_err() {
             CoreError::WorkerPanic(msg) => {
                 assert!(msg.contains("injected sampler panic"), "{msg}");
             }
             other => panic!("expected WorkerPanic, got {other:?}"),
         }
         // A run with no panics is unaffected.
-        let ok = scatter_records(5, 2, |_| Ok(dummy)).unwrap();
-        assert_eq!(ok.len(), 5);
+        assert_eq!(drive(None).unwrap().len(), 5);
     }
 }

@@ -371,20 +371,24 @@ impl SimOptions {
     /// rounded **up** to the next multiple of
     /// [`LANE_WIDTH`](crate::LANE_WIDTH), so every sharded sub-batch
     /// fills whole lane blocks and only the population's final shard can
-    /// carry padding lanes. Returns `0` when batching is disabled
-    /// (`batch` of `0` or `1`), mirroring the scalar fallback.
+    /// carry padding lanes. Returns `0` when the lane kernel cannot run:
+    /// batching disabled (`batch` of `0` or `1`) or the
+    /// [`Dense`](SolverKind::Dense) solver, mirroring the scalar
+    /// fallback.
     ///
     /// ```
-    /// use clocksense_spice::SimOptions;
+    /// use clocksense_spice::{SimOptions, SolverKind};
     ///
-    /// assert_eq!(SimOptions { batch: 16, ..SimOptions::default() }.lane_chunk(), 16);
-    /// assert_eq!(SimOptions { batch: 12, ..SimOptions::default() }.lane_chunk(), 16);
-    /// assert_eq!(SimOptions { batch: 2, ..SimOptions::default() }.lane_chunk(), 8);
-    /// assert_eq!(SimOptions::default().lane_chunk(), 0); // scalar by default
+    /// let sparse = |batch| SimOptions { solver: SolverKind::Sparse, batch, ..SimOptions::default() };
+    /// assert_eq!(sparse(16).lane_chunk(), 16);
+    /// assert_eq!(sparse(12).lane_chunk(), 16);
+    /// assert_eq!(sparse(2).lane_chunk(), 8);
+    /// assert_eq!(sparse(0).lane_chunk(), 0); // scalar by default
+    /// assert_eq!(SimOptions { batch: 16, ..SimOptions::default() }.lane_chunk(), 0); // dense
     /// ```
     #[must_use]
     pub fn lane_chunk(&self) -> usize {
-        if self.batch < 2 {
+        if self.batch < 2 || self.solver == SolverKind::Dense {
             return 0;
         }
         self.batch.next_multiple_of(crate::LANE_WIDTH)
